@@ -1,7 +1,7 @@
 """Exact singular value spectra and operator-norm projection for 2D
 multi-channel circular convolution layers."""
 
-from .fourier import DftPlan, batch_dft2_kernel, build_f_matrix, dft2
+from .oracle import build_f_matrix
 from .projection import (
     ClipReport,
     clip_operator_norm,
@@ -16,7 +16,6 @@ from .spectra import (
     operator_norm,
     single_channel_eigenvalues,
 )
-from .svd import SvdResult, svd, svd_batch
 from .types import (
     FeatureShape,
     Kernel4D,
@@ -30,26 +29,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClipReport",
-    "DftPlan",
     "FeatureShape",
     "FrequencyTransforms",
     "Kernel4D",
     "Spectrum",
     "SpectrumReport",
-    "SvdResult",
-    "batch_dft2_kernel",
     "build_f_matrix",
     "clip_operator_norm",
     "clip_reshaped",
     "compute_spectrum",
-    "dft2",
     "frequency_transforms",
     "operator_norm",
     "project_layer",
     "restrict_support",
     "single_channel_eigenvalues",
-    "svd",
-    "svd_batch",
     "validate_pair",
     "zero_pad",
 ]

@@ -69,7 +69,6 @@ def time_method(
     shape: FeatureShape,
     repeats: int,
     warmup: int = 1,
-    threads: int = 1,
     force: bool = False,
 ) -> tuple[float, float, float]:
     """(median_seconds, min_seconds, checksum) over ``repeats`` timed runs."""
@@ -77,7 +76,7 @@ def time_method(
     if method == "exact":
 
         def run() -> float:
-            return float(compute_spectrum(kernel, shape, threads=threads).values.sum())
+            return float(compute_spectrum(kernel, shape).values.sum())
 
     else:
         cap = None if force else ORACLE_SIZE_CAP
@@ -98,7 +97,6 @@ def time_method(
 def run_bench(
     specs: list[BenchSpec],
     seed: int = 0,
-    threads: int = 1,
     force: bool = False,
     out_path: str | Path | None = None,
 ) -> list[BenchRow]:
@@ -108,7 +106,7 @@ def run_bench(
         kernel = bench_kernel(spec.n, spec.m, spec.k, seed=seed)
         shape = FeatureShape(spec.n, spec.n)
         median, fastest, checksum = time_method(
-            spec.method, kernel, shape, spec.repeats, spec.warmup, threads=threads, force=force
+            spec.method, kernel, shape, spec.repeats, spec.warmup, force=force
         )
         rows.append(
             BenchRow(

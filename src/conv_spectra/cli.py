@@ -3,9 +3,7 @@
 Subcommands: ``spectrum``, ``clip``, ``clip-reshaped``, ``oracle-check``,
 ``generate``, ``bench``. Exit codes are a stable scripting contract:
 0 success, 1 I/O failure, 2 validation failure, 3 numerical-check failure.
-``--json`` switches stdout to a single machine-readable object. The
-``CONV_SPECTRA_THREADS`` environment variable supplies the default for
-``--threads``.
+``--json`` switches stdout to a single machine-readable object.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .errors import IoFailure, NoConvergence, ValidationError
 from .oracle import ORACLE_SIZE_CAP, full_matrix_spectrum, spectrum_deviation
 from .projection import clip_reshaped, project_layer
 from .spectra import compute_spectrum, operator_norm
-from .svd import svd
+from .svd import decompose
 from .types import FeatureShape, Kernel4D, SpectrumReport
 
 DEVIATION_LIMIT = 1e-8
@@ -45,21 +43,12 @@ class CliConfig:
     top: int | None = None
     mode: str = "values"
     seed: int | None = None
-    threads: int = 1
     as_json: bool = False
     force: bool = False
     grid: str | None = None
     method: str = "both"
     repeats: int = 5
     warmup: int = 1
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("CONV_SPECTRA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(config: CliConfig, payload: dict) -> None:
@@ -87,9 +76,11 @@ def _feature_shape(config: CliConfig) -> FeatureShape:
 
 
 def cmd_spectrum(config: CliConfig) -> int:
+    if config.top is not None and config.top < 1:
+        raise ValidationError(f"--top must be >= 1, got {config.top}")
     kernel = read_kernel(config.kernel_path)
     shape = _feature_shape(config)
-    spectrum = compute_spectrum(kernel, shape, threads=config.threads)
+    spectrum = compute_spectrum(kernel, shape)
     name = os.path.splitext(os.path.basename(config.kernel_path))[0]
     report = SpectrumReport(layer_name=name, spectrum=spectrum)
     if config.out_path:
@@ -114,9 +105,7 @@ def cmd_spectrum(config: CliConfig) -> int:
 def cmd_clip(config: CliConfig) -> int:
     kernel = read_kernel(config.kernel_path)
     shape = _feature_shape(config)
-    clipped, report = project_layer(
-        kernel, shape, config.bound, rounds=config.rounds, threads=config.threads
-    )
+    clipped, report = project_layer(kernel, shape, config.bound, rounds=config.rounds)
     write_kernel(clipped, config.out_path)
     payload = dataclasses.asdict(report)
     payload["rounds"] = config.rounds
@@ -132,8 +121,8 @@ def cmd_clip_reshaped(config: CliConfig) -> int:
     write_kernel(clipped, config.out_path)
     k_h, k_w, m_out, m_in = clipped.shape
     flat = clipped.data.transpose(0, 1, 3, 2).reshape(k_h * k_w * m_in, m_out)
-    reshaped_norm = float(svd(flat, compute_vectors=False).singular_values[0])
-    layer_norm = operator_norm(clipped, shape, threads=config.threads)
+    reshaped_norm = float(decompose(flat)[0])
+    layer_norm = operator_norm(clipped, shape)
     payload = {
         "requested_bound": config.bound,
         "reshaped_matrix_norm": reshaped_norm,
@@ -147,7 +136,7 @@ def cmd_clip_reshaped(config: CliConfig) -> int:
 def cmd_oracle_check(config: CliConfig) -> int:
     kernel = read_kernel(config.kernel_path)
     shape = _feature_shape(config)
-    exact = compute_spectrum(kernel, shape, threads=config.threads).values
+    exact = compute_spectrum(kernel, shape).values
     dense = full_matrix_spectrum(kernel, shape, size_cap=None if config.force else ORACLE_SIZE_CAP)
     deviation = spectrum_deviation(exact, dense)
     ok = deviation <= DEVIATION_LIMIT
@@ -188,7 +177,6 @@ def cmd_bench(config: CliConfig) -> int:
     rows = bench_mod.run_bench(
         specs,
         seed=config.seed if config.seed is not None else 0,
-        threads=config.threads,
         force=config.force,
         out_path=config.out_path,
     )
@@ -227,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar=("H", "W"),
                 help="feature map height and width",
             )
-        p.add_argument("--threads", type=int, default=None, help="worker thread cap")
         p.add_argument("--json", action="store_true", help="emit one JSON object")
 
     p = sub.add_parser("spectrum", help="compute the layer's singular values")
@@ -274,13 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write timings CSV")
     p.add_argument("--force", action="store_true", help="lift the dense size cap")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true")
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> CliConfig:
-    threads = getattr(args, "threads", None)
     return CliConfig(
         subcommand=args.subcommand,
         kernel_path=getattr(args, "kernel", None),
@@ -291,7 +276,6 @@ def _config_from(args: argparse.Namespace) -> CliConfig:
         top=getattr(args, "top", None),
         mode=getattr(args, "mode", "values"),
         seed=getattr(args, "seed", None),
-        threads=threads if threads is not None else _default_threads(),
         as_json=getattr(args, "json", False),
         force=getattr(args, "force", False),
         grid=getattr(args, "grid", None),

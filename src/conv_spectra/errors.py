@@ -59,15 +59,7 @@ class IoFailure(ConvSpectraError):
 
 
 class NoConvergence(ConvSpectraError):
-    """SVD iteration hit its sweep cap without reaching tolerance."""
-
-    def __init__(self, residual: float, batch_index: int | None = None):
-        self.residual = residual
-        self.batch_index = batch_index
-        where = "" if batch_index is None else f" (batch index {batch_index})"
-        super().__init__(
-            f"SVD did not converge{where}; worst off-diagonal residual {residual:.3e}"
-        )
+    """LAPACK's SVD did not converge."""
 
 
 class ImaginaryResidual(ConvSpectraError):

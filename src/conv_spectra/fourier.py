@@ -1,167 +1,33 @@
-"""Discrete Fourier transforms over complex arrays.
+"""Per-channel-pair 2D transforms of a kernel, over numpy's FFT.
 
-Lengths that are powers of two go through an iterative radix-2 kernel;
-everything else is reduced to a power-of-two circular convolution with
-Bluestein's chirp trick, so arbitrary feature-map sizes are supported.
-
-Sign convention: the forward transform uses exp(-2*pi*i/n) and the inverse
-uses exp(+2*pi*i/n) together with the 1/n normalization (normalization on the
-inverse only). The multiset of transform magnitudes is the same under either
-sign convention (the two transforms differ by index reversal plus
-conjugation), which is what the spectrum computations rely on.
+The forward transforms zero-pad through the ``s`` argument, so the padded
+kernel is never built. Sign convention: the forward transform uses
+exp(-2*pi*i/n) and the inverse exp(+2*pi*i/n) with the 1/(n_h*n_w)
+normalization.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .types import Kernel4D
-
-Direction = str  # "forward" | "inverse"
+from .types import FeatureShape, Kernel4D
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    perm = np.zeros(n, dtype=np.intp)
-    for i in range(1, n):
-        perm[i] = (perm[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-    return perm
+def forward(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
+    """Complex (n_h, n_w, m_out, m_in) bins: ``[:, :, c, d]`` is the 2D
+    transform of channel pair (c, d) zero-padded to ``shape``."""
+    return np.fft.fft2(kernel.data, s=(shape.n_h, shape.n_w), axes=(0, 1))
 
 
-def _pow2_stages(n: int, sign: float) -> list[np.ndarray]:
-    stages = []
-    m = 2
-    while m <= n:
-        h = m // 2
-        stages.append(np.exp(sign * 2j * np.pi * np.arange(h) / m))
-        m *= 2
-    return stages
+def forward_half(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
+    """The columns 0 .. n_w//2 of ``forward``, shape (n_h, n_w//2 + 1, m_out, m_in).
 
-
-def _apply_pow2(a: np.ndarray, perm: np.ndarray, stages: list[np.ndarray]) -> np.ndarray:
-    """Radix-2 butterflies along the last axis of ``a`` (length = len(perm))."""
-    lead = a.shape[:-1]
-    n = a.shape[-1]
-    out = np.ascontiguousarray(a[..., perm], dtype=np.complex128).reshape(-1, n)
-    for w in stages:
-        h = w.size
-        v = out.reshape(-1, n // (2 * h), 2 * h)
-        t = v[:, :, h:] * w
-        e = v[:, :, :h].copy()
-        v[:, :, :h] = e + t
-        v[:, :, h:] = e - t
-    return out.reshape(lead + (n,))
-
-
-class DftPlan:
-    """Twiddle factors and scratch layout for a 1D transform of fixed length.
-
-    Plans are immutable after construction and safe to share between threads;
-    ``apply`` is a pure function of its input.
+    A real kernel has bins[-u, -v] = conj(bins[u, v]), so these columns
+    determine all the others.
     """
-
-    def __init__(self, length: int, direction: Direction = "forward"):
-        if length < 1:
-            raise ValueError(f"transform length must be >= 1, got {length}")
-        if direction not in ("forward", "inverse"):
-            raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-        self.length = length
-        self.direction = direction
-        sign = -1.0 if direction == "forward" else 1.0
-        n = length
-        if n & (n - 1) == 0:
-            self._perm = _bit_reversal(n)
-            self._stages = _pow2_stages(n, sign)
-            self._chirp = None
-        else:
-            # Bluestein: X_k = c_k * (x.c (*) conj(c))_k via a length-M circular
-            # convolution, M the next power of two >= 2n-1. The squared index in
-            # the chirp is reduced mod 2n to keep the angle argument small.
-            j = np.arange(n, dtype=np.int64)
-            chirp = np.exp(sign * 1j * np.pi * ((j * j) % (2 * n)) / n)
-            m = 1
-            while m < 2 * n - 1:
-                m *= 2
-            self._m = m
-            self._perm = _bit_reversal(m)
-            self._fwd_stages = _pow2_stages(m, -1.0)
-            self._inv_stages = _pow2_stages(m, 1.0)
-            filt = np.zeros(m, dtype=np.complex128)
-            filt[:n] = np.conj(chirp)
-            filt[m - n + 1:] = np.conj(chirp[1:])[::-1]
-            self._filter = _apply_pow2(filt, self._perm, self._fwd_stages)
-            self._chirp = chirp
-
-    def apply(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Transform ``x`` along ``axis``; all other axes are batch dimensions."""
-        a = np.asarray(x, dtype=np.complex128)
-        if a.shape[axis] != self.length:
-            raise ValueError(f"axis length {a.shape[axis]} does not match plan length {self.length}")
-        a = np.moveaxis(a, axis, -1)
-        if self._chirp is None:
-            out = _apply_pow2(a, self._perm, self._stages)
-        else:
-            n = self.length
-            u = np.zeros(a.shape[:-1] + (self._m,), dtype=np.complex128)
-            u[..., :n] = a * self._chirp
-            fu = _apply_pow2(u, self._perm, self._fwd_stages)
-            conv = _apply_pow2(fu * self._filter, self._perm, self._inv_stages)
-            out = self._chirp * conv[..., :n] / self._m
-        if self.direction == "inverse":
-            out = out / self.length
-        return np.moveaxis(out, -1, axis)
+    return np.fft.rfft2(kernel.data, s=(shape.n_h, shape.n_w), axes=(0, 1))
 
 
-def dft2(grid: np.ndarray, direction: Direction = "forward") -> np.ndarray:
-    """2D transform of a (n_h, n_w) complex grid.
-
-    Forward: out[u, v] = sum_{p,q} grid[p, q] * w_h^(u p) * w_w^(v q).
-    Inverse undoes it exactly, including the 1/(n_h*n_w) normalization.
-    """
-    g = np.asarray(grid, dtype=np.complex128)
-    if g.ndim != 2:
-        raise ValueError(f"expected a 2D grid, got {g.ndim}D")
-    return _transform_spatial(g, direction)
-
-
-def _transform_spatial(data: np.ndarray, direction: Direction, threads: int = 1) -> np.ndarray:
-    """Transform axes 0 and 1 of ``data``; trailing axes are batch dimensions."""
-    plan_h = DftPlan(data.shape[0], direction)
-    plan_w = DftPlan(data.shape[1], direction)
-
-    def run(block: np.ndarray) -> np.ndarray:
-        return plan_w.apply(plan_h.apply(block, axis=0), axis=1)
-
-    if threads <= 1 or data.ndim <= 2:
-        return run(data)
-    flat = data.reshape(data.shape[0], data.shape[1], -1)
-    count = flat.shape[2]
-    chunks = np.array_split(np.arange(count), min(threads, count))
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda idx: run(flat[:, :, idx]), chunks))
-    return np.concatenate(parts, axis=2).reshape(data.shape)
-
-
-def batch_dft2_kernel(padded: Kernel4D, threads: int = 1) -> np.ndarray:
-    """Forward 2D transform of every (out, in) channel-pair slice of a padded kernel.
-
-    Returns a complex (n_h, n_w, m_out, m_in) tensor whose slice [:, :, c, d]
-    is dft2 of the corresponding spatial slice. Slices are independent; with
-    threads > 1 they are split across a worker pool, with identical output
-    regardless of the thread count.
-    """
-    return _transform_spatial(np.asarray(padded.data), "forward", threads=threads)
-
-
-def build_f_matrix(n: int) -> np.ndarray:
-    """The n x n matrix with entry (i, j) = w^(i j), w = exp(+2*pi*i/n).
-
-    This is the analysis-side convention: (1/n) * kron(F, F) is unitary and
-    diagonalizes every doubly block circulant matrix.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    idx = np.arange(n, dtype=np.int64)
-    return np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n)
+def inverse(bins: np.ndarray) -> np.ndarray:
+    """Undo ``forward``: the complex spatial tensor of (n_h, n_w, ...) bins."""
+    return np.fft.ifft2(bins, axes=(0, 1))

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, SizeGuard
-from .fourier import build_f_matrix
 from .types import FeatureShape, Kernel4D, validate_pair, zero_pad
 
 ORACLE_SIZE_CAP = 4096
@@ -35,6 +34,18 @@ def circulant(row: np.ndarray) -> np.ndarray:
     n = r.size
     idx = np.arange(n)
     return r[(idx[None, :] - idx[:, None]) % n]
+
+
+def build_f_matrix(n: int) -> np.ndarray:
+    """The n x n matrix with entry (i, j) = w^(i j), w = exp(+2*pi*i/n).
+
+    This is the analysis-side convention: (1/n) * kron(F, F) is unitary and
+    diagonalizes every doubly block circulant matrix.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    idx = np.arange(n, dtype=np.int64)
+    return np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n)
 
 
 def build_doubly_block_circulant(padded: np.ndarray) -> np.ndarray:
@@ -91,9 +102,8 @@ def full_matrix_spectrum(
     """Singular values (descending) of the dense layer matrix.
 
     This is the reference the fast path is verified against, and the slow side
-    of the benchmark. The dense SVD is delegated to LAPACK, which keeps this
-    route fully independent of the in-house Jacobi code and fast enough for
-    the forced benchmark sizes.
+    of the benchmark. The dense SVD is delegated to LAPACK, which is fast
+    enough for the forced benchmark sizes.
     """
     matrix = build_full_matrix(kernel, shape, size_cap=size_cap)
     return np.linalg.svd(matrix, compute_uv=False)

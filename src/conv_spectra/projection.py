@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadSupport, ImaginaryResidual, ValidationError
-from .fourier import _transform_spatial
+from .fourier import inverse
 from .spectra import frequency_transforms, operator_norm
-from .svd import _svd_stack_arrays, svd
+from .svd import decompose
 from .types import FeatureShape, Kernel4D, validate_pair, zero_pad
 
 # Residual imaginary mass beyond this (relative) threshold means the
@@ -47,8 +47,13 @@ class ClipReport:
     max_imaginary_residual: float
 
 
+def _check_bound(bound: float) -> None:
+    if not (np.isfinite(bound) and bound > 0.0):
+        raise ValidationError(f"bound must be positive and finite, got {bound}")
+
+
 def clip_operator_norm(
-    kernel: Kernel4D, shape: FeatureShape, bound: float, threads: int = 1
+    kernel: Kernel4D, shape: FeatureShape, bound: float
 ) -> tuple[Kernel4D, ClipReport]:
     """Project the layer onto {operator norm <= bound}.
 
@@ -59,11 +64,9 @@ def clip_operator_norm(
     the bound the zero-padded input is returned unchanged.
     """
     validate_pair(kernel, shape)
-    if bound <= 0.0:
-        raise ValidationError(f"bound must be positive, got {bound}")
-    transforms = frequency_transforms(kernel, shape, threads=threads)
-    stack = transforms.bin_stack()
-    u, values, vh = _svd_stack_arrays(stack, compute_vectors=True, threads=threads)
+    _check_bound(bound)
+    stack = frequency_transforms(kernel, shape).bin_stack()
+    u, values, vh = decompose(stack, compute_uv=True)
     norm_before = float(values.max(initial=0.0))
     modified = int(np.count_nonzero((values > bound).any(axis=1)))
     padded = zero_pad(kernel, shape)
@@ -80,9 +83,7 @@ def clip_operator_norm(
     clipped = np.minimum(values, bound)
     rebuilt = np.einsum("bik,bk,bkj->bij", u, clipped, vh)
     n_h, n_w = shape.n_h, shape.n_w
-    back = _transform_spatial(
-        rebuilt.reshape(n_h, n_w, kernel.m_out, kernel.m_in), "inverse", threads=threads
-    )
+    back = inverse(rebuilt.reshape(n_h, n_w, kernel.m_out, kernel.m_in))
     scale = max(1.0, float(np.abs(kernel.data).max()))
     residual = float(np.abs(back.imag).max())
     if residual > _IMAG_ERROR_REL * scale:
@@ -122,7 +123,6 @@ def project_layer(
     shape: FeatureShape,
     bound: float,
     rounds: int = 1,
-    threads: int = 1,
 ) -> tuple[Kernel4D, ClipReport]:
     """Alternate norm clipping and support restriction ``rounds`` times.
 
@@ -143,12 +143,12 @@ def project_layer(
     images: list[np.ndarray] = []
     report = None
     for _ in range(rounds):
-        full, report = clip_operator_norm(current, shape, bound, threads=threads)
+        full, report = clip_operator_norm(current, shape, bound)
         image = restrict_support(full, kernel.k_h, kernel.k_w)
         iterates = [*iterates[-_ANDERSON_DEPTH:], current.data]
         images = [*images[-_ANDERSON_DEPTH:], image.data]
         current = _anderson_step(iterates, images)
-    final_norm = operator_norm(current, shape, threads=threads)
+    final_norm = operator_norm(current, shape)
     return current, replace(report, norm_after_restriction=final_norm)
 
 
@@ -190,14 +190,12 @@ def clip_reshaped(kernel: Kernel4D, bound: float) -> Kernel4D:
     is a heuristic stand-in for the true projection: only the flattened
     matrix's largest singular value is bounded, not the layer's operator norm.
     """
-    if bound <= 0.0:
-        raise ValidationError(f"bound must be positive, got {bound}")
+    _check_bound(bound)
     k_h, k_w, m_out, m_in = kernel.shape
     mat = kernel.data.transpose(0, 1, 3, 2).reshape(k_h * k_w * m_in, m_out)
-    result = svd(mat, compute_vectors=True)
-    if result.singular_values.max(initial=0.0) <= bound:
+    u, values, vh = decompose(mat, compute_uv=True)
+    if values.max(initial=0.0) <= bound:
         return kernel
-    clipped = np.minimum(result.singular_values, bound)
-    rebuilt = (result.u * clipped) @ result.v_conj_t
-    back = rebuilt.real.reshape(k_h, k_w, m_in, m_out).transpose(0, 1, 3, 2)
+    rebuilt = (u * np.minimum(values, bound)) @ vh
+    back = rebuilt.reshape(k_h, k_w, m_in, m_out).transpose(0, 1, 3, 2)
     return Kernel4D(back)

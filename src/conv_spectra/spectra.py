@@ -7,6 +7,12 @@ resulting m_out x m_in matrix at each frequency bin, pooled over all
 n_h * n_w bins, are exactly the layer's singular values (with multiplicity).
 That brings the cost down from a dense SVD of an (n^2 m) sized matrix to
 m^2 FFTs plus n^2 small SVDs.
+
+A real kernel has bins[-u, -v] = conj(bins[u, v]), and conjugation keeps
+singular values, so only the n_h x (n_w//2 + 1) half-spectrum is decomposed:
+the values of its columns 1 .. ceil(n_w/2) - 1 stand for their mirror images
+too and are counted twice; column 0 and, for even n_w, column n_w/2 are their
+own mirrors and are counted once.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelCountNotOne
-from .fourier import batch_dft2_kernel
-from .svd import _svd_stack_arrays
-from .types import FeatureShape, Kernel4D, Spectrum, validate_pair, zero_pad
+from .fourier import forward, forward_half
+from .svd import decompose
+from .types import FeatureShape, Kernel4D, Spectrum, validate_pair
 
 
 @dataclass(frozen=True)
@@ -44,24 +50,25 @@ class FrequencyTransforms:
         return self.bins.reshape(n_h * n_w, m_out, m_in)
 
 
-def frequency_transforms(
-    kernel: Kernel4D, shape: FeatureShape, threads: int = 1
-) -> FrequencyTransforms:
-    """Zero-pad the kernel to the feature-map size and 2D-transform each channel pair."""
+def frequency_transforms(kernel: Kernel4D, shape: FeatureShape) -> FrequencyTransforms:
+    """2D-transform each channel pair of the kernel, zero-padded to the feature-map size."""
     validate_pair(kernel, shape)
-    padded = zero_pad(kernel, shape)
-    return FrequencyTransforms(batch_dft2_kernel(padded, threads=threads))
+    return FrequencyTransforms(forward(kernel, shape))
 
 
-def compute_spectrum(kernel: Kernel4D, shape: FeatureShape, threads: int = 1) -> Spectrum:
+def compute_spectrum(kernel: Kernel4D, shape: FeatureShape) -> Spectrum:
     """All singular values of the layer's linear transformation, sorted descending.
 
     The result is the concatenation of the singular values of every
     frequency-bin matrix; its size is always n_h * n_w * min(m_out, m_in).
     """
-    transforms = frequency_transforms(kernel, shape, threads=threads)
-    _, values, _ = _svd_stack_arrays(transforms.bin_stack(), compute_vectors=False, threads=threads)
-    return Spectrum(np.sort(values, axis=None)[::-1])
+    validate_pair(kernel, shape)
+    half = forward_half(kernel, shape)
+    values = decompose(half.reshape(-1, kernel.m_out, kernel.m_in))
+    values = values.reshape(half.shape[0], half.shape[1], -1)
+    mirrored = values[:, 1 : (shape.n_w + 1) // 2]
+    pooled = np.concatenate([values.ravel(), mirrored.ravel()])
+    return Spectrum(np.sort(pooled)[::-1])
 
 
 def single_channel_eigenvalues(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
@@ -74,6 +81,6 @@ def single_channel_eigenvalues(kernel: Kernel4D, shape: FeatureShape) -> np.ndar
     return frequency_transforms(kernel, shape).bins[:, :, 0, 0].ravel()
 
 
-def operator_norm(kernel: Kernel4D, shape: FeatureShape, threads: int = 1) -> float:
+def operator_norm(kernel: Kernel4D, shape: FeatureShape) -> float:
     """Largest singular value of the layer (its Lipschitz constant)."""
-    return float(compute_spectrum(kernel, shape, threads=threads).values[0])
+    return float(compute_spectrum(kernel, shape).values[0])

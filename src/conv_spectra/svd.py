@@ -1,246 +1,26 @@
-"""Singular value decomposition of dense complex matrices.
+"""Thin SVDs of a stack of small dense matrices, over numpy's batched LAPACK.
 
-One-sided Jacobi, batched: the same sequence of column rotations is applied
-across a whole stack of equally-shaped matrices at once (each entry with its
-own rotation angles), which is what makes the per-frequency-bin SVD sweep over
-a layer fast. Pairs are scheduled round-robin so every rotation within a
-round touches disjoint columns and the round vectorizes cleanly.
-
-Jacobi is used here because the matrices are small (channel count squared),
-where it is both simple and accurate to near machine precision.
+Singular values come back as LAPACK returns them: non-negative, sorted
+descending per matrix, and not clamped, so a value that is zero in exact
+arithmetic reads as a rounding-sized positive number.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteEntry
-
-# Rotation skip threshold, relative to the paired column norms. Convergence is
-# declared when a full sweep applies no rotation, which bounds every
-# off-diagonal Gram entry by PAIR_TOL times the largest diagonal one.
-PAIR_TOL = 1e-14
-MAX_SWEEPS = 60
-# Values below CLAMP_REL * sigma_max are indistinguishable from rank
-# deficiency at working precision and are clamped to exactly zero.
-CLAMP_REL = 1e-13
+from .errors import NoConvergence
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD: A = u @ diag(singular_values) @ v_conj_t.
+def decompose(stack: np.ndarray, compute_uv: bool = False):
+    """SVD of every matrix in a (..., rows, cols) stack.
 
-    ``singular_values`` has length r = min(rows, cols), sorted descending.
-    ``u`` is (rows, r) and ``v_conj_t`` is (r, cols); both are None when the
-    decomposition was computed values-only.
+    Returns the (..., r) singular values, r = min(rows, cols); with
+    ``compute_uv`` the triple (u, s, vh) with u (..., rows, r) and
+    vh (..., r, cols), so that a = u @ diag(s) @ vh. Raises NoConvergence
+    when LAPACK does not converge, which also covers NaN or Inf entries.
     """
-
-    singular_values: np.ndarray
-    u: np.ndarray | None = None
-    v_conj_t: np.ndarray | None = None
-
-
-@lru_cache(maxsize=None)
-def _round_robin(cols: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Column-pair schedule: each round pairs disjoint columns, all rounds
-    together cover every (p, q) pair exactly once."""
-    players = list(range(cols)) + ([-1] if cols % 2 else [])
-    n = len(players)
-    rest = players[1:]
-    rounds = []
-    for r in range(max(n - 1, 0)):
-        order = [players[0]] + rest[r:] + rest[:r]
-        ps, qs = [], []
-        for i in range(n // 2):
-            a, b = order[i], order[n - 1 - i]
-            if a < 0 or b < 0:
-                continue
-            ps.append(min(a, b))
-            qs.append(max(a, b))
-        if ps:
-            rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-    return tuple(rounds)
-
-
-def _complete_orthonormal(u_cols: np.ndarray, missing: np.ndarray) -> None:
-    """Fill zero columns of ``u_cols`` (layout: columns as rows, (cols, rows))
-    with a deterministic orthonormal completion built from basis vectors."""
-    rows = u_cols.shape[1]
-    for j in np.flatnonzero(missing):
-        have = u_cols[~missing]
-        done = u_cols[:j][missing[:j]]
-        best, best_norm = None, -1.0
-        for i in range(rows):
-            cand = np.zeros(rows, dtype=np.complex128)
-            cand[i] = 1.0
-            if have.size:
-                cand = cand - have.T @ (np.conj(have) @ cand)
-            if done.size:
-                cand = cand - done.T @ (np.conj(done) @ cand)
-            norm = float(np.linalg.norm(cand))
-            if norm > best_norm:
-                best_norm, best = norm, cand
-        # some basis vector always has a large residual, so best_norm > 0
-        u_cols[j] = best / best_norm
-
-
-def _jacobi(stack: np.ndarray, compute_vectors: bool, index_offset: int = 0):
-    """Batched one-sided Jacobi. ``stack`` is (B, rows, cols) complex.
-
-    Returns (u, s, vh): s is (B, r); u is (B, rows, r) and vh (B, r, cols)
-    when requested, else None. Raises NoConvergence tagged with the absolute
-    batch index (``index_offset`` + local index) on sweep-cap exhaustion.
-    """
-    a = np.asarray(stack, dtype=np.complex128)
-    batch, rows, cols = a.shape
-    flipped = rows < cols
-    if flipped:
-        a = np.conj(np.swapaxes(a, 1, 2))
-        rows, cols = cols, rows
-
-    # Work in a columns-as-rows layout so paired-column reads are contiguous.
-    w = np.ascontiguousarray(np.swapaxes(a, 1, 2))
-    vt = None
-    if compute_vectors:
-        vt = np.zeros((batch, cols, cols), dtype=np.complex128)
-        vt[:, np.arange(cols), np.arange(cols)] = 1.0
-
-    norms = np.einsum("bcr,bcr->bc", np.conj(w), w).real
-    residual = np.zeros(batch)
-    for sweep in range(MAX_SWEEPS):
-        rotated = np.zeros(batch, dtype=bool)
-        # Columns already below the clamp threshold stay as they are; rotating
-        # them only reshuffles roundoff noise and can stall convergence.
-        dead = norms <= (CLAMP_REL**2) * norms.max(axis=1, keepdims=True)
-        residual[:] = 0.0
-        for ps, qs in _round_robin(cols):
-            cp_cols = w[:, ps, :]
-            cq_cols = w[:, qs, :]
-            app = norms[:, ps]
-            aqq = norms[:, qs]
-            g = np.einsum("bkr,bkr->bk", np.conj(cp_cols), cq_cols)
-            mag = np.abs(g)
-            denom = np.sqrt(np.maximum(app * aqq, 0.0))
-            live = ~(dead[:, ps] | dead[:, qs])
-            active = (mag > PAIR_TOL * denom) & live
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rel = np.where(denom > 0.0, mag / denom, 0.0)
-            residual = np.maximum(residual, np.where(live, rel, 0.0).max(axis=1))
-            if not active.any():
-                continue
-            rotated |= active.any(axis=1)
-            safe_mag = np.maximum(mag, 1e-300)
-            tau = np.where(active, (aqq - app) / (2.0 * safe_mag), 0.0)
-            t = np.where(active, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            alpha = np.where(active, g / safe_mag, 1.0)
-            cb = c[:, :, None]
-            sa = (s * alpha)[:, :, None]
-            sab = np.conj(sa)
-            w[:, ps, :] = cb * cp_cols - sab * cq_cols
-            w[:, qs, :] = sa * cp_cols + cb * cq_cols
-            if compute_vectors:
-                vp = vt[:, ps, :]
-                vq = vt[:, qs, :]
-                vt[:, ps, :] = cb * vp - sab * vq
-                vt[:, qs, :] = sa * vp + cb * vq
-            shift = t * mag
-            norms[:, ps] = np.maximum(app - shift, 0.0)
-            norms[:, qs] = aqq + shift
-        norms = np.einsum("bcr,bcr->bc", np.conj(w), w).real
-        if not rotated.any():
-            break
-    else:
-        worst = int(np.argmax(residual))
-        raise NoConvergence(float(residual[worst]), batch_index=index_offset + worst)
-
-    values = np.sqrt(norms)
-    order = np.argsort(-values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    clamp = CLAMP_REL * values[:, :1]
-    values = np.where(values < clamp, 0.0, values)
-    if not compute_vectors:
-        return None, values, None
-
-    w = np.take_along_axis(w, order[:, :, None], axis=1)
-    vt = np.take_along_axis(vt, order[:, :, None], axis=1)
-    u_cols = np.zeros_like(w)
-    positive = values > 0.0
-    u_cols[positive] = w[positive] / values[positive][:, None]
-    for b in np.flatnonzero(~positive.all(axis=1)):
-        _complete_orthonormal(u_cols[b], ~positive[b])
-    u = np.ascontiguousarray(np.swapaxes(u_cols, 1, 2))
-    vh = np.conj(vt)
-    if flipped:
-        u, vh = np.ascontiguousarray(np.swapaxes(np.conj(vh), 1, 2)), np.ascontiguousarray(
-            np.swapaxes(np.conj(u), 1, 2)
-        )
-    return u, values, vh
-
-
-def _check_stack(arr: np.ndarray) -> None:
-    if arr.ndim != 3:
-        raise ValueError(f"expected a stack of matrices, got {arr.ndim}D")
-    if arr.shape[1] < 1 or arr.shape[2] < 1:
-        raise ValueError(f"matrices must have at least one row and column, got {arr.shape[1:]}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntry("matrix contains NaN or Inf entries")
-
-
-def svd(a: np.ndarray, compute_vectors: bool = True) -> SvdResult:
-    """Thin SVD of one dense complex (or real) matrix."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got {arr.ndim}D")
-    stack = arr[None]
-    _check_stack(stack)
-    u, s, vh = _jacobi(stack, compute_vectors)
-    if not compute_vectors:
-        return SvdResult(s[0])
-    return SvdResult(s[0], u[0], vh[0])
-
-
-def svd_batch(
-    stack: np.ndarray, compute_vectors: bool = True, threads: int = 1
-) -> list[SvdResult]:
-    """SVD of every matrix in a (B, rows, cols) stack.
-
-    Equivalent to mapping ``svd`` over the stack; entries are independent and
-    are split across ``threads`` workers, with output order (and values)
-    independent of the thread count. NoConvergence is tagged with the index of
-    the offending entry.
-    """
-    arr = np.asarray(stack, dtype=np.complex128)
-    if arr.ndim == 3 and arr.shape[0] == 0:
-        return []
-    _check_stack(arr)
-    u, s, vh = _svd_stack_arrays(arr, compute_vectors, threads)
-    if not compute_vectors:
-        return [SvdResult(s[i]) for i in range(arr.shape[0])]
-    return [SvdResult(s[i], u[i], vh[i]) for i in range(arr.shape[0])]
-
-
-def _svd_stack_arrays(arr: np.ndarray, compute_vectors: bool, threads: int = 1):
-    """Array-level batched SVD used by the spectrum and projection paths."""
-    batch = arr.shape[0]
-    if threads <= 1 or batch < 2:
-        return _jacobi(arr, compute_vectors)
-    bounds = np.array_split(np.arange(batch), min(threads, batch))
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        parts = list(
-            pool.map(
-                lambda idx: _jacobi(arr[idx[0] : idx[-1] + 1], compute_vectors, int(idx[0])),
-                bounds,
-            )
-        )
-    s = np.concatenate([p[1] for p in parts], axis=0)
-    if not compute_vectors:
-        return None, s, None
-    u = np.concatenate([p[0] for p in parts], axis=0)
-    vh = np.concatenate([p[2] for p in parts], axis=0)
-    return u, s, vh
+    try:
+        return np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc

@@ -74,6 +74,9 @@ class FeatureShape:
     n_w: int
 
     def __post_init__(self):
+        for side in (self.n_h, self.n_w):
+            if isinstance(side, bool) or not isinstance(side, int):
+                raise ValueError(f"feature shape sides must be integers, got {side!r}")
         if self.n_h < 1 or self.n_w < 1:
             raise ValueError(f"feature shape must be positive, got {(self.n_h, self.n_w)}")
 

@@ -56,6 +56,21 @@ class TestSpectrumCommand:
         assert payload["count"] == 32
         assert payload["operator_norm"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_rejected(self, random_path, capsys, top):
+        code = main(["spectrum", "--kernel", random_path, "--input-shape", "4", "4", "--top", top])
+        assert code == 2
+        assert "--top" in capsys.readouterr().err
+
+    def test_svd_failure_exits_3(self, random_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        code = main(["spectrum", "--kernel", random_path, "--input-shape", "4", "4"])
+        assert code == 3
+        assert "NoConvergence" in capsys.readouterr().err
+
     def test_csv_export(self, identity_path, tmp_path, capsys):
         out_csv = tmp_path / "spec.csv"
         assert (
@@ -99,6 +114,19 @@ class TestClipCommand:
         assert "bins_modified: 0" in capsys.readouterr().out
         original = read_kernel(random_path)
         assert np.abs(read_kernel(out_npy).data - original.data).max() <= 1e-12
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "0"])
+    def test_bad_bound_rejected(self, random_path, tmp_path, capsys, bound):
+        out_npy = tmp_path / "never.npy"
+        code = main(
+            [
+                "clip", "--kernel", random_path, "--input-shape", "8", "8",
+                "--bound", bound, "--rounds", "3", "--out", str(out_npy), "--json",
+            ]
+        )
+        assert code == 2
+        assert "bound must be positive and finite" in capsys.readouterr().err
+        assert not out_npy.exists()
 
     def test_multiple_rounds(self, random_path, tmp_path, capsys):
         out_npy = tmp_path / "r5.npy"
@@ -178,8 +206,8 @@ class TestOracleCheckCommand:
     def test_deviation_above_limit_exits_3(self, random_path, capsys, monkeypatch):
         import conv_spectra.cli as cli_mod
 
-        def perturbed(kernel, shape, threads=1):
-            spec = compute_spectrum(kernel, shape, threads=threads)
+        def perturbed(kernel, shape):
+            spec = compute_spectrum(kernel, shape)
             values = spec.values.copy()
             values[0] *= 1.001
             return type(spec)(values)
@@ -244,13 +272,6 @@ class TestBenchCommand:
 
     def test_bad_grid_is_validation_error(self, capsys):
         assert main(["bench", "--grid", "q=4"]) == 2
-
-
-class TestThreadsEnvironment:
-    def test_env_var_supplies_default(self, identity_path, capsys, monkeypatch):
-        monkeypatch.setenv("CONV_SPECTRA_THREADS", "3")
-        assert main(["spectrum", "--kernel", identity_path, "--input-shape", "4", "4"]) == 0
-        assert "count: 32" in capsys.readouterr().out
 
 
 class TestConsoleEntryPoint:

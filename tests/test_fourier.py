@@ -3,42 +3,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conv_spectra.fourier import DftPlan, batch_dft2_kernel, build_f_matrix, dft2
+from conv_spectra.errors import KernelLargerThanInput
+from conv_spectra.fourier import forward, forward_half, inverse
+from conv_spectra.spectra import compute_spectrum, frequency_transforms
 from conv_spectra.types import FeatureShape, Kernel4D, zero_pad
 
 from conftest import dft2_quartic, identity_kernel, random_kernel
 
 
+def single(grid: np.ndarray) -> Kernel4D:
+    """A 1 -> 1 channel kernel whose only slice is ``grid``."""
+    return Kernel4D(np.asarray(grid, dtype=np.float64)[:, :, None, None])
+
+
+def round_trip_error(kernel: Kernel4D, shape: FeatureShape) -> float:
+    back = inverse(forward(kernel, shape))
+    return float(np.abs(back - zero_pad(kernel, shape).data).max())
+
+
 class TestDft2:
+    """The forward/inverse pair on single-channel kernels."""
+
     def test_delta_gives_flat_spectrum(self):
-        grid = np.zeros((4, 4), dtype=complex)
-        grid[0, 0] = 1.0
-        assert np.allclose(dft2(grid), np.ones((4, 4)), atol=1e-14)
+        out = forward(single(np.ones((1, 1))), FeatureShape(4, 4))
+        assert np.allclose(out[:, :, 0, 0], np.ones((4, 4)), atol=1e-14)
 
     def test_constant_concentrates_at_origin(self):
-        out = dft2(np.ones((4, 4), dtype=complex))
+        out = forward(single(np.ones((4, 4))), FeatureShape(4, 4))
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 16.0
-        assert np.allclose(out, expected, atol=1e-12)
+        assert np.allclose(out[:, :, 0, 0], expected, atol=1e-12)
 
     def test_round_trip_odd_sizes(self):
-        rng = np.random.default_rng(5)
-        grid = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-        back = dft2(dft2(grid, "forward"), "inverse")
-        assert np.abs(back - grid).max() <= 1e-12 * np.abs(grid).max()
+        kernel = random_kernel(5, 3, 4, 2, 1)
+        assert round_trip_error(kernel, FeatureShape(5, 7)) <= 1e-12 * np.abs(kernel.data).max()
 
     def test_matches_quartic_loop_reference(self):
         rng = np.random.default_rng(6)
         for shape in [(4, 4), (3, 5), (6, 2), (1, 1)]:
-            grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert np.abs(dft2(grid) - dft2_quartic(grid)).max() <= 1e-10
+            grid = rng.standard_normal(shape)
+            out = forward(single(grid), FeatureShape(*shape))[:, :, 0, 0]
+            assert np.abs(out - dft2_quartic(grid)).max() <= 1e-10
 
     def test_linearity(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        b = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        lhs = dft2(2.5 * a + (1 - 2j) * b)
-        rhs = 2.5 * dft2(a) + (1 - 2j) * dft2(b)
+        a = random_kernel(7, 3, 2, 2, 3)
+        b = random_kernel(8, 3, 2, 2, 3)
+        shape = FeatureShape(5, 4)
+        lhs = forward(Kernel4D(2.5 * a.data - 1.5 * b.data), shape)
+        rhs = 2.5 * forward(a, shape) - 1.5 * forward(b, shape)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_sign_convention_invariance(self):
@@ -46,84 +58,77 @@ class TestDft2:
         # is the magnitude surface of the +-convention transform
         rng = np.random.default_rng(8)
         for shape in [(4, 4), (5, 7), (8, 3)]:
-            grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            fwd = np.sort(np.abs(dft2(grid, "forward")), axis=None)
-            other = np.sort(np.abs(dft2(grid, "inverse")) * grid.size, axis=None)
+            grid = rng.standard_normal(shape)
+            fwd = np.sort(np.abs(forward(single(grid), FeatureShape(*shape))), axis=None)
+            other = np.sort(np.abs(inverse(grid)) * grid.size, axis=None)
             assert np.abs(fwd - other).max() <= 1e-12 * max(1.0, fwd.max())
 
 
 class TestDftPlan:
+    """The transforms at one map size at a time, powers of two or not."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 17, 31, 32, 100])
     def test_round_trip_all_lengths(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        fwd = DftPlan(n, "forward").apply(x, axis=1)
-        back = DftPlan(n, "inverse").apply(fwd, axis=1)
-        assert np.abs(back - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
+        kernel = random_kernel(n, min(n, 3), min(n, 2), 2, 1)
+        assert round_trip_error(kernel, FeatureShape(n, n)) <= 1e-12 * np.abs(kernel.data).max()
 
     @pytest.mark.parametrize("n", [4, 5, 8, 9])
     def test_matches_library_fft(self, n):
-        rng = np.random.default_rng(n + 100)
-        x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        mine = DftPlan(n).apply(x, axis=-1)
-        ref = np.fft.fft(x, axis=-1)
-        assert np.abs(mine - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        # padding through fft2's s= argument equals transforming the padded kernel
+        kernel = random_kernel(n + 100, 3, 2, 2, 3)
+        shape = FeatureShape(n, n + 1)
+        ref = np.fft.fft2(zero_pad(kernel, shape).data, axes=(0, 1))
+        assert np.abs(forward(kernel, shape) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            DftPlan(0)
-        with pytest.raises(ValueError):
-            DftPlan(4, "sideways")
-        with pytest.raises(ValueError):
-            DftPlan(4).apply(np.zeros(5))
+        # fft2's s= argument would silently crop a kernel larger than the map
+        kernel = random_kernel(9, 3, 3, 2, 2)
+        for shape in [FeatureShape(2, 4), FeatureShape(4, 2)]:
+            with pytest.raises(KernelLargerThanInput):
+                frequency_transforms(kernel, shape)
+            with pytest.raises(KernelLargerThanInput):
+                compute_spectrum(kernel, shape)
 
     @given(st.integers(1, 24), st.integers(0, 2**31 - 1))
     @settings(max_examples=30)
     def test_round_trip_property(self, n, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        back = DftPlan(n, "inverse").apply(DftPlan(n, "forward").apply(x))
-        assert np.abs(back - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
+        kernel = random_kernel(seed, min(n, 3), min(n, 3), 1, 2)
+        assert round_trip_error(kernel, FeatureShape(n, n)) <= 1e-12 * np.abs(kernel.data).max()
 
 
 class TestBatchTransform:
     def test_identity_kernel_gives_identity_bins(self):
-        padded = zero_pad(identity_kernel(2), FeatureShape(4, 4))
-        bins = batch_dft2_kernel(padded)
+        bins = forward(identity_kernel(2), FeatureShape(4, 4))
         assert bins.shape == (4, 4, 2, 2)
         for u in range(4):
             for v in range(4):
                 assert np.allclose(bins[u, v], np.eye(2), atol=1e-14)
 
     def test_zero_kernel(self):
-        padded = zero_pad(Kernel4D(np.zeros((2, 2, 2, 3))), FeatureShape(4, 4))
-        assert np.count_nonzero(batch_dft2_kernel(padded)) == 0
+        assert np.count_nonzero(forward(Kernel4D(np.zeros((2, 2, 2, 3))), FeatureShape(4, 4))) == 0
 
     def test_matches_per_slice_quartic_reference(self):
-        padded = zero_pad(random_kernel(11, 3, 3, 2, 2), FeatureShape(4, 4))
-        bins = batch_dft2_kernel(padded)
+        kernel = random_kernel(11, 3, 3, 2, 2)
+        padded = zero_pad(kernel, FeatureShape(4, 4))
+        bins = forward(kernel, FeatureShape(4, 4))
         for c in range(2):
             for d in range(2):
                 ref = dft2_quartic(padded.data[:, :, c, d])
                 assert np.abs(bins[:, :, c, d] - ref).max() <= 1e-10
 
-    def test_thread_count_does_not_change_output(self):
-        padded = zero_pad(random_kernel(12, 3, 3, 3, 2), FeatureShape(5, 6))
-        assert np.array_equal(batch_dft2_kernel(padded, threads=1), batch_dft2_kernel(padded, threads=3))
 
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 5), (4, 7), (7, 6), (1, 1), (3, 1), (2, 2)])
+    def test_leading_columns_of_the_full_transform(self, shape):
+        kernel = random_kernel(12, 1, 1, 3, 2)
+        feature = FeatureShape(*shape)
+        full = forward(kernel, feature)
+        half = forward_half(kernel, feature)
+        assert half.shape == (shape[0], shape[1] // 2 + 1, 3, 2)
+        assert np.abs(half - full[:, : shape[1] // 2 + 1]).max() <= 1e-12
 
-class TestFourierMatrix:
-    def test_length_one(self):
-        assert np.array_equal(build_f_matrix(1), np.ones((1, 1)))
-
-    def test_length_two(self):
-        assert np.allclose(build_f_matrix(2), np.array([[1, 1], [1, -1]]), atol=1e-15)
-
-    def test_scaled_matrix_is_unitary(self):
-        f = build_f_matrix(4)
-        assert np.abs(f @ f.conj().T / 4 - np.eye(4)).max() <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_kron_square_is_unitary(self, n):
-        q = np.kron(build_f_matrix(n), build_f_matrix(n)) / n
-        assert np.abs(q @ q.conj().T - np.eye(n * n)).max() <= 1e-10
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (6, 3)])
+    def test_conjugate_symmetry(self, shape):
+        full = forward(random_kernel(13, 3, 3, 2, 3), FeatureShape(*shape))
+        mirrored = np.roll(full[::-1, ::-1], 1, axis=(0, 1))  # bins[-u, -v]
+        assert np.abs(mirrored - np.conj(full)).max() <= 1e-12

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,35 @@ from conv_spectra.spectra import compute_spectrum
 from conv_spectra.types import FeatureShape, Kernel4D
 
 from conftest import identity_kernel, random_kernel
+
+
+class TestIndependence:
+    def test_imports_nothing_of_the_fast_path(self):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rsplit(".", 1)[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        assert imported.isdisjoint({"fourier", "svd", "spectra", "projection"}), imported
+
+
+class TestFourierMatrix:
+    def test_length_one(self):
+        assert np.array_equal(oracle.build_f_matrix(1), np.ones((1, 1)))
+
+    def test_length_two(self):
+        assert np.allclose(oracle.build_f_matrix(2), np.array([[1, 1], [1, -1]]), atol=1e-15)
+
+    def test_scaled_matrix_is_unitary(self):
+        f = oracle.build_f_matrix(4)
+        assert np.abs(f @ f.conj().T / 4 - np.eye(4)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kron_square_is_unitary(self, n):
+        q = np.kron(oracle.build_f_matrix(n), oracle.build_f_matrix(n)) / n
+        assert np.abs(q @ q.conj().T - np.eye(n * n)).max() <= 1e-10
 
 
 class TestCirculant:

@@ -103,11 +103,39 @@ class TestComputeSpectrum:
         mags = np.sort(np.abs(single_channel_eigenvalues(kernel, shape44)))[::-1]
         assert np.abs(spec.values - mags).max() <= 1e-12
 
-    def test_thread_count_does_not_change_values(self, shape44):
-        kernel = random_kernel(106, 3, 3, 4, 4)
-        one = compute_spectrum(kernel, shape44, threads=1)
-        four = compute_spectrum(kernel, shape44, threads=4)
-        assert np.array_equal(one.values, four.values)
+    @pytest.mark.parametrize(
+        "support,channels,shape",
+        [
+            ((3, 3), (2, 2), (5, 5)),
+            ((3, 3), (2, 2), (6, 6)),
+            ((2, 3), (3, 2), (5, 6)),
+            ((3, 2), (2, 3), (6, 5)),
+            ((2, 2), (3, 1), (2, 7)),
+            ((1, 1), (2, 3), (1, 1)),
+            ((1, 1), (3, 2), (1, 4)),
+        ],
+    )
+    def test_half_spectrum_matches_dense_oracle(self, support, channels, shape):
+        kernel = random_kernel(107, *support, *channels)
+        feature = FeatureShape(*shape)
+        spec = compute_spectrum(kernel, feature)
+        dense = oracle.full_matrix_spectrum(kernel, feature)
+        assert oracle.spectrum_deviation(spec.values, dense) <= 1e-8
+
+    def test_rank_deficient_values_are_unclamped(self, shape44):
+        # two equal input channels: every bin matrix has rank one
+        data = random_kernel(108, 3, 3, 2, 2).data.copy()
+        data[..., 1] = data[..., 0]
+        kernel = Kernel4D(data)
+        spec = compute_spectrum(kernel, shape44)
+        dense = oracle.full_matrix_spectrum(kernel, shape44)
+        assert oracle.spectrum_deviation(spec.values, dense) <= 1e-8
+        bins = frequency_transforms(kernel, shape44).bin_stack()
+        lapack = np.sort(np.linalg.svd(bins, compute_uv=False), axis=None)[::-1]
+        zero_rank = spec.values[16:]
+        assert np.abs(zero_rank - lapack[16:]).max() <= 1e-15 * spec.values[0]
+        assert zero_rank.max() <= 1e-12 * spec.values[0]
+        assert np.count_nonzero(zero_rank) > 0
 
 
 class TestSingleChannelEigenvalues:

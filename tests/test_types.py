@@ -137,3 +137,10 @@ class TestFeatureShape:
             FeatureShape(0, 4)
         with pytest.raises(ValueError):
             FeatureShape(4, -1)
+
+    @pytest.mark.parametrize("side", [4.5, 4.0, True, "4", None])
+    def test_rejects_non_integer_sides(self, side):
+        with pytest.raises(ValueError, match="integers"):
+            FeatureShape(side, 4)
+        with pytest.raises(ValueError, match="integers"):
+            FeatureShape(4, side)
