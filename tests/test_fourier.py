@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conv_spectra import oracle
 from conv_spectra.errors import KernelLargerThanInput
 from conv_spectra.fourier import forward, forward_half, inverse
 from conv_spectra.spectra import compute_spectrum, frequency_transforms
@@ -62,6 +63,25 @@ class TestDft2:
             fwd = np.sort(np.abs(forward(single(grid), FeatureShape(*shape))), axis=None)
             other = np.sort(np.abs(inverse(grid)) * grid.size, axis=None)
             assert np.abs(fwd - other).max() <= 1e-12 * max(1.0, fwd.max())
+
+
+class TestFourierMatrix:
+    """The dense DFT matrix of the oracle, the reference the transforms answer to."""
+
+    def test_length_one(self):
+        assert np.array_equal(oracle.build_f_matrix(1), np.ones((1, 1)))
+
+    def test_length_two(self):
+        assert np.allclose(oracle.build_f_matrix(2), np.array([[1, 1], [1, -1]]), atol=1e-15)
+
+    def test_scaled_matrix_is_unitary(self):
+        f = oracle.build_f_matrix(4)
+        assert np.abs(f @ f.conj().T / 4 - np.eye(4)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kron_square_is_unitary(self, n):
+        q = np.kron(oracle.build_f_matrix(n), oracle.build_f_matrix(n)) / n
+        assert np.abs(q @ q.conj().T - np.eye(n * n)).max() <= 1e-10
 
 
 class TestDftPlan:

@@ -24,23 +24,6 @@ class TestIndependence:
         assert imported.isdisjoint({"fourier", "svd", "spectra", "projection"}), imported
 
 
-class TestFourierMatrix:
-    def test_length_one(self):
-        assert np.array_equal(oracle.build_f_matrix(1), np.ones((1, 1)))
-
-    def test_length_two(self):
-        assert np.allclose(oracle.build_f_matrix(2), np.array([[1, 1], [1, -1]]), atol=1e-15)
-
-    def test_scaled_matrix_is_unitary(self):
-        f = oracle.build_f_matrix(4)
-        assert np.abs(f @ f.conj().T / 4 - np.eye(4)).max() <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_kron_square_is_unitary(self, n):
-        q = np.kron(oracle.build_f_matrix(n), oracle.build_f_matrix(n)) / n
-        assert np.abs(q @ q.conj().T - np.eye(n * n)).max() <= 1e-10
-
-
 class TestCirculant:
     def test_three_entry_row_layout(self):
         a0, a1, a2 = 1.0, 2.0, 3.0
