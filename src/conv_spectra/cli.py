@@ -2,7 +2,9 @@
 
 Subcommands: ``spectrum``, ``clip``, ``clip-reshaped``, ``oracle-check``,
 ``generate``, ``bench``. Exit codes are a stable scripting contract:
-0 success, 1 I/O failure, 2 validation failure, 3 numerical-check failure.
+0 success, 1 I/O failure, 2 validation failure, 3 numerical-check failure
+(no SVD convergence, an imaginary residual after clipping, or an oracle
+deviation above the limit).
 ``--json`` switches stdout to a single machine-readable object.
 """
 
@@ -14,13 +16,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bench as bench_mod
 from .array_io import EXPORT_MODES, read_kernel, write_kernel, write_spectrum_csv
-from .errors import IoFailure, NoConvergence, ValidationError
+from .errors import ImaginaryResidual, IoFailure, NoConvergence, ValidationError
 from .oracle import ORACLE_SIZE_CAP, full_matrix_spectrum, spectrum_deviation
 from .projection import clip_reshaped, project_layer
 from .spectra import compute_spectrum, operator_norm
@@ -30,29 +31,8 @@ from .types import FeatureShape, Kernel4D, SpectrumReport
 DEVIATION_LIMIT = 1e-8
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed arguments for one invocation."""
-
-    subcommand: str
-    kernel_path: str | None = None
-    input_shape: tuple[int, int] | None = None
-    bound: float | None = None
-    rounds: int = 1
-    out_path: str | None = None
-    top: int | None = None
-    mode: str = "values"
-    seed: int | None = None
-    as_json: bool = False
-    force: bool = False
-    grid: str | None = None
-    method: str = "both"
-    repeats: int = 5
-    warmup: int = 1
-
-
-def _emit(config: CliConfig, payload: dict) -> None:
-    if config.as_json:
+def _emit(args: argparse.Namespace, payload: dict) -> None:
+    if args.json:
         print(json.dumps(payload))
         return
     for key, value in payload.items():
@@ -70,21 +50,21 @@ def _plain(value):
     return value
 
 
-def _feature_shape(config: CliConfig) -> FeatureShape:
-    n_h, n_w = config.input_shape
+def _feature_shape(args: argparse.Namespace) -> FeatureShape:
+    n_h, n_w = args.input_shape
     return FeatureShape(n_h, n_w)
 
 
-def cmd_spectrum(config: CliConfig) -> int:
-    if config.top is not None and config.top < 1:
-        raise ValidationError(f"--top must be >= 1, got {config.top}")
-    kernel = read_kernel(config.kernel_path)
-    shape = _feature_shape(config)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.top is not None and args.top < 1:
+        raise ValidationError(f"--top must be >= 1, got {args.top}")
+    kernel = read_kernel(args.kernel)
+    shape = _feature_shape(args)
     spectrum = compute_spectrum(kernel, shape)
-    name = os.path.splitext(os.path.basename(config.kernel_path))[0]
+    name = os.path.splitext(os.path.basename(args.kernel))[0]
     report = SpectrumReport(layer_name=name, spectrum=spectrum)
-    if config.out_path:
-        write_spectrum_csv(report, config.out_path, mode=config.mode)
+    if args.out:
+        write_spectrum_csv(report, args.out, mode=args.mode)
     payload = {
         "layer": name,
         "count": spectrum.count,
@@ -92,56 +72,56 @@ def cmd_spectrum(config: CliConfig) -> int:
     }
     # full spectra can be huge; stdout carries values only on request
     # (the CSV export and --json are the bulk paths)
-    if config.top is not None:
-        payload["values"] = [float(v) for v in spectrum.values[: config.top]]
-    elif config.as_json:
+    if args.top is not None:
+        payload["values"] = [float(v) for v in spectrum.values[: args.top]]
+    elif args.json:
         payload["values"] = [float(v) for v in spectrum.values]
-    if config.out_path:
-        payload["wrote"] = config.out_path
-    _emit(config, payload)
+    if args.out:
+        payload["wrote"] = args.out
+    _emit(args, payload)
     return 0
 
 
-def cmd_clip(config: CliConfig) -> int:
-    kernel = read_kernel(config.kernel_path)
-    shape = _feature_shape(config)
-    clipped, report = project_layer(kernel, shape, config.bound, rounds=config.rounds)
-    write_kernel(clipped, config.out_path)
+def cmd_clip(args: argparse.Namespace) -> int:
+    kernel = read_kernel(args.kernel)
+    shape = _feature_shape(args)
+    clipped, report = project_layer(kernel, shape, args.bound, rounds=args.rounds)
+    write_kernel(clipped, args.out)
     payload = dataclasses.asdict(report)
-    payload["rounds"] = config.rounds
-    payload["wrote"] = config.out_path
-    _emit(config, payload)
+    payload["rounds"] = args.rounds
+    payload["wrote"] = args.out
+    _emit(args, payload)
     return 0
 
 
-def cmd_clip_reshaped(config: CliConfig) -> int:
-    kernel = read_kernel(config.kernel_path)
-    shape = _feature_shape(config)
-    clipped = clip_reshaped(kernel, config.bound)
-    write_kernel(clipped, config.out_path)
+def cmd_clip_reshaped(args: argparse.Namespace) -> int:
+    kernel = read_kernel(args.kernel)
+    shape = _feature_shape(args)
+    clipped = clip_reshaped(kernel, args.bound)
+    write_kernel(clipped, args.out)
     k_h, k_w, m_out, m_in = clipped.shape
     flat = clipped.data.transpose(0, 1, 3, 2).reshape(k_h * k_w * m_in, m_out)
     reshaped_norm = float(decompose(flat)[0])
     layer_norm = operator_norm(clipped, shape)
     payload = {
-        "requested_bound": config.bound,
+        "requested_bound": args.bound,
         "reshaped_matrix_norm": reshaped_norm,
         "layer_operator_norm": layer_norm,
-        "wrote": config.out_path,
+        "wrote": args.out,
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def cmd_oracle_check(config: CliConfig) -> int:
-    kernel = read_kernel(config.kernel_path)
-    shape = _feature_shape(config)
+def cmd_oracle_check(args: argparse.Namespace) -> int:
+    kernel = read_kernel(args.kernel)
+    shape = _feature_shape(args)
     exact = compute_spectrum(kernel, shape).values
-    dense = full_matrix_spectrum(kernel, shape, size_cap=None if config.force else ORACLE_SIZE_CAP)
+    dense = full_matrix_spectrum(kernel, shape, size_cap=None if args.force else ORACLE_SIZE_CAP)
     deviation = spectrum_deviation(exact, dense)
     ok = deviation <= DEVIATION_LIMIT
     _emit(
-        config,
+        args,
         {
             "count": int(exact.size),
             "max_relative_deviation": deviation,
@@ -152,38 +132,39 @@ def cmd_oracle_check(config: CliConfig) -> int:
     return 0 if ok else 3
 
 
-def cmd_generate(config: CliConfig, shape4: tuple[int, int, int, int]) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
+    shape4 = tuple(args.shape)
     if min(shape4) < 1:
         raise ValidationError(f"kernel dimensions must all be >= 1, got {shape4}")
-    seed = config.seed
+    seed = args.seed
     if seed is None:
         seed = time.time_ns() % 2**32
     kernel = Kernel4D(np.random.default_rng(seed).standard_normal(shape4))
-    write_kernel(kernel, config.out_path)
-    _emit(config, {"seed": int(seed), "shape": list(shape4), "wrote": config.out_path})
+    write_kernel(kernel, args.out)
+    _emit(args, {"seed": int(seed), "shape": list(shape4), "wrote": args.out})
     return 0
 
 
-def cmd_bench(config: CliConfig) -> int:
-    points = bench_mod.parse_grid(config.grid)
-    methods = ("exact", "full_matrix") if config.method == "both" else (
-        "full_matrix" if config.method == "full" else "exact",
+def cmd_bench(args: argparse.Namespace) -> int:
+    points = bench_mod.parse_grid(args.grid)
+    methods = ("exact", "full_matrix") if args.method == "both" else (
+        "full_matrix" if args.method == "full" else "exact",
     )
     specs = [
-        bench_mod.BenchSpec(method=meth, n=n, m=m, k=k, repeats=config.repeats, warmup=config.warmup)
+        bench_mod.BenchSpec(method=meth, n=n, m=m, k=k, repeats=args.repeats, warmup=args.warmup)
         for meth in methods
         for (n, m, k) in points
     ]
     rows = bench_mod.run_bench(
         specs,
-        seed=config.seed if config.seed is not None else 0,
-        force=config.force,
-        out_path=config.out_path,
+        seed=args.seed,
+        force=args.force,
+        out_path=args.out,
     )
     payload = {"rows": [dataclasses.asdict(r) for r in rows]}
-    if config.out_path:
-        payload["wrote"] = config.out_path
-    if config.as_json:
+    if args.out:
+        payload["wrote"] = args.out
+    if args.json:
         print(json.dumps(payload))
     else:
         print("method,n,m,k,repeats,median_s,min_s,checksum")
@@ -265,47 +246,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        kernel_path=getattr(args, "kernel", None),
-        input_shape=tuple(args.input_shape) if getattr(args, "input_shape", None) else None,
-        bound=getattr(args, "bound", None),
-        rounds=getattr(args, "rounds", 1),
-        out_path=getattr(args, "out", None),
-        top=getattr(args, "top", None),
-        mode=getattr(args, "mode", "values"),
-        seed=getattr(args, "seed", None),
-        as_json=getattr(args, "json", False),
-        force=getattr(args, "force", False),
-        grid=getattr(args, "grid", None),
-        method=getattr(args, "method", "both"),
-        repeats=getattr(args, "repeats", 5),
-        warmup=getattr(args, "warmup", 1),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from(args)
     try:
-        if config.subcommand == "spectrum":
-            return cmd_spectrum(config)
-        if config.subcommand == "clip":
-            return cmd_clip(config)
-        if config.subcommand == "clip-reshaped":
-            return cmd_clip_reshaped(config)
-        if config.subcommand == "oracle-check":
-            return cmd_oracle_check(config)
-        if config.subcommand == "generate":
-            return cmd_generate(config, tuple(args.shape))
-        if config.subcommand == "bench":
-            return cmd_bench(config)
-        raise ValidationError(f"unknown subcommand {config.subcommand!r}")
+        if args.subcommand == "spectrum":
+            return cmd_spectrum(args)
+        if args.subcommand == "clip":
+            return cmd_clip(args)
+        if args.subcommand == "clip-reshaped":
+            return cmd_clip_reshaped(args)
+        if args.subcommand == "oracle-check":
+            return cmd_oracle_check(args)
+        if args.subcommand == "generate":
+            return cmd_generate(args)
+        return cmd_bench(args)
     except (ValidationError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except NoConvergence as exc:
+    except (NoConvergence, ImaginaryResidual) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (IoFailure, OSError) as exc:

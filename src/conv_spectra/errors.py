@@ -2,7 +2,8 @@
 
 Grouping matters for the CLI exit-code contract: ValidationError and its
 subclasses map to exit 2, IoFailure and OS-level errors to exit 1, and
-numerical failures (NoConvergence, spectrum deviation) to exit 3.
+numerical failures (NoConvergence, ImaginaryResidual, spectrum deviation) to
+exit 3.
 """
 
 

@@ -28,6 +28,19 @@ def forward_half(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
     return np.fft.rfft2(kernel.data, s=(shape.n_h, shape.n_w), axes=(0, 1))
 
 
-def inverse(bins: np.ndarray) -> np.ndarray:
-    """Undo ``forward``: the complex spatial tensor of (n_h, n_w, ...) bins."""
-    return np.fft.ifft2(bins, axes=(0, 1))
+def inverse_half(half: np.ndarray, n_w: int) -> tuple[np.ndarray, float]:
+    """Undo ``forward_half``: the real (n_h, n_w, ...) tensor of half bins.
+
+    The width inverse takes each column v in 1 .. ceil(n_w/2) - 1 to stand
+    for its mirror too, so it is real by construction, and it keeps only the
+    real part of the self-conjugate columns (0 and, for even n_w, n_w/2).
+    The float returned with the tensor is that dropped imaginary mass,
+    max over entries of (|Im c_0| + |Im c_{n_w/2}|) / n_w with c the columns
+    after the height inverse: the largest imaginary part the full ``ifft2``
+    would show had the mirrored columns been exact conjugates.
+    """
+    columns = np.fft.ifft(half, axis=0)
+    dropped = np.abs(columns[:, 0].imag)
+    if n_w % 2 == 0:
+        dropped = dropped + np.abs(columns[:, n_w // 2].imag)
+    return np.fft.irfft(columns, n=n_w, axis=1), float(dropped.max()) / n_w

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadSupport, ImaginaryResidual, ValidationError
-from .fourier import inverse
-from .spectra import frequency_transforms, operator_norm
+from .fourier import forward_half, inverse_half
+from .spectra import operator_norm
 from .svd import decompose
 from .types import FeatureShape, Kernel4D, validate_pair, zero_pad
 
@@ -57,19 +57,25 @@ def clip_operator_norm(
 ) -> tuple[Kernel4D, ClipReport]:
     """Project the layer onto {operator norm <= bound}.
 
-    Per frequency bin: thin SVD, clamp singular values from above at ``bound``,
-    reconstruct, inverse-transform, and drop the (roundoff-sized) imaginary
-    part. The returned kernel has full (n_h, n_w) support and its spectrum is
-    exactly min(original spectrum, bound) elementwise; when nothing exceeds
-    the bound the zero-padded input is returned unchanged.
+    Per frequency bin of the n_h x (n_w//2 + 1) half-spectrum (a real kernel
+    determines the rest): thin SVD, clamp singular values from above at
+    ``bound``, reconstruct, and take the real inverse transform. The returned
+    kernel has full (n_h, n_w) support and its spectrum is exactly
+    min(original spectrum, bound) elementwise; when nothing exceeds the bound
+    the zero-padded input is returned unchanged. ``bins_modified`` counts bins
+    of the full spectrum, each clipped bin in columns 1 .. ceil(n_w/2) - 1
+    twice. ``max_imaginary_residual`` is the imaginary part the real inverse
+    drops from the self-conjugate columns (see ``fourier.inverse_half``),
+    which exact arithmetic makes zero; above ``_IMAG_ERROR_REL`` times the
+    kernel's scale it raises ImaginaryResidual.
     """
     validate_pair(kernel, shape)
     _check_bound(bound)
-    stack = frequency_transforms(kernel, shape).bin_stack()
-    u, values, vh = decompose(stack, compute_uv=True)
+    u, values, vh = decompose(forward_half(kernel, shape), compute_uv=True)
     norm_before = float(values.max(initial=0.0))
-    modified = int(np.count_nonzero((values > bound).any(axis=1)))
-    padded = zero_pad(kernel, shape)
+    clipped_bins = (values > bound).any(axis=-1)
+    mirrored = clipped_bins[:, shape.mirrored_columns]
+    modified = int(np.count_nonzero(clipped_bins) + np.count_nonzero(mirrored))
     if modified == 0:
         report = ClipReport(
             requested_bound=bound,
@@ -79,13 +85,13 @@ def clip_operator_norm(
             bins_modified=0,
             max_imaginary_residual=0.0,
         )
-        return padded, report
+        return zero_pad(kernel, shape), report
     clipped = np.minimum(values, bound)
-    rebuilt = np.einsum("bik,bk,bkj->bij", u, clipped, vh)
-    n_h, n_w = shape.n_h, shape.n_w
-    back = inverse(rebuilt.reshape(n_h, n_w, kernel.m_out, kernel.m_in))
+    # einsum, not matmul: the first complex matmul maps about 0.3 MB of BLAS
+    # code into a process that has not called it yet
+    rebuilt = np.einsum("...ik,...k,...kj->...ij", u, clipped, vh)
+    back, residual = inverse_half(rebuilt, shape.n_w)
     scale = max(1.0, float(np.abs(kernel.data).max()))
-    residual = float(np.abs(back.imag).max())
     if residual > _IMAG_ERROR_REL * scale:
         raise ImaginaryResidual(
             f"imaginary residual {residual:.3e} exceeds {_IMAG_ERROR_REL:.0e} * {scale:.3e}"
@@ -99,7 +105,7 @@ def clip_operator_norm(
         bins_modified=modified,
         max_imaginary_residual=residual,
     )
-    return Kernel4D(back.real), report
+    return Kernel4D(back), report
 
 
 def restrict_support(full_kernel: Kernel4D, k_h: int, k_w: int) -> Kernel4D:

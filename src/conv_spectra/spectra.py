@@ -44,11 +44,6 @@ class FrequencyTransforms:
     def feature_shape(self) -> FeatureShape:
         return FeatureShape(self.bins.shape[0], self.bins.shape[1])
 
-    def bin_stack(self) -> np.ndarray:
-        """The bins flattened row-major (u outer, v inner) into a (n_h*n_w, m_out, m_in) stack."""
-        n_h, n_w, m_out, m_in = self.bins.shape
-        return self.bins.reshape(n_h * n_w, m_out, m_in)
-
 
 def frequency_transforms(kernel: Kernel4D, shape: FeatureShape) -> FrequencyTransforms:
     """2D-transform each channel pair of the kernel, zero-padded to the feature-map size."""
@@ -63,10 +58,8 @@ def compute_spectrum(kernel: Kernel4D, shape: FeatureShape) -> Spectrum:
     frequency-bin matrix; its size is always n_h * n_w * min(m_out, m_in).
     """
     validate_pair(kernel, shape)
-    half = forward_half(kernel, shape)
-    values = decompose(half.reshape(-1, kernel.m_out, kernel.m_in))
-    values = values.reshape(half.shape[0], half.shape[1], -1)
-    mirrored = values[:, 1 : (shape.n_w + 1) // 2]
+    values = decompose(forward_half(kernel, shape))
+    mirrored = values[:, shape.mirrored_columns]
     pooled = np.concatenate([values.ravel(), mirrored.ravel()])
     return Spectrum(np.sort(pooled)[::-1])
 

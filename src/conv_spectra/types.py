@@ -80,6 +80,12 @@ class FeatureShape:
         if self.n_h < 1 or self.n_w < 1:
             raise ValueError(f"feature shape must be positive, got {(self.n_h, self.n_w)}")
 
+    @property
+    def mirrored_columns(self) -> slice:
+        """Columns 1 .. ceil(n_w/2) - 1 of a half-spectrum, which also stand
+        for their mirror images: a count over the full spectrum counts them twice."""
+        return slice(1, (self.n_w + 1) // 2)
+
 
 @dataclass(frozen=True)
 class Spectrum:

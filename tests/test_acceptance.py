@@ -145,6 +145,7 @@ def test_criterion_6_reshaped_clipping_baseline():
     report(6, f"reshaped clip hits its bound (|top-{bound}|<=1e-8); 1x1 paths agree (gap {gap:.1e})")
 
 
+@pytest.mark.slow
 def test_criterion_7_timing_gap():
     n, m, k = 16, 32, 3
     shape = FeatureShape(n, n)

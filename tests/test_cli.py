@@ -7,6 +7,7 @@ import pytest
 
 from conv_spectra.array_io import read_kernel, write_kernel
 from conv_spectra.cli import main
+from conv_spectra.errors import ImaginaryResidual
 from conv_spectra.spectra import compute_spectrum, operator_norm
 from conv_spectra.types import FeatureShape
 
@@ -126,6 +127,24 @@ class TestClipCommand:
         )
         assert code == 2
         assert "bound must be positive and finite" in capsys.readouterr().err
+        assert not out_npy.exists()
+
+    def test_imaginary_residual_exits_3(self, random_path, tmp_path, capsys, monkeypatch):
+        import conv_spectra.cli as cli_mod
+
+        def failing(*args, **kwargs):
+            raise ImaginaryResidual("imaginary residual 1.000e-03 exceeds 1e-06 * 1.000e+00")
+
+        monkeypatch.setattr(cli_mod, "project_layer", failing)
+        out_npy = tmp_path / "never.npy"
+        code = main(
+            [
+                "clip", "--kernel", random_path, "--input-shape", "4", "4",
+                "--bound", "0.5", "--out", str(out_npy),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ImaginaryResidual:")
         assert not out_npy.exists()
 
     def test_multiple_rounds(self, random_path, tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conv_spectra import oracle
 from conv_spectra.errors import KernelLargerThanInput
-from conv_spectra.fourier import forward, forward_half, inverse
+from conv_spectra.fourier import forward, forward_half, inverse_half
 from conv_spectra.spectra import compute_spectrum, frequency_transforms
 from conv_spectra.types import FeatureShape, Kernel4D, zero_pad
 
@@ -18,12 +18,25 @@ def single(grid: np.ndarray) -> Kernel4D:
 
 
 def round_trip_error(kernel: Kernel4D, shape: FeatureShape) -> float:
-    back = inverse(forward(kernel, shape))
+    back, dropped = inverse_half(forward_half(kernel, shape), shape.n_w)
+    assert back.shape == (shape.n_h, shape.n_w, kernel.m_out, kernel.m_in)
+    assert dropped <= 1e-12 * np.abs(kernel.data).max()
     return float(np.abs(back - zero_pad(kernel, shape).data).max())
 
 
+def hermitian_extension(half: np.ndarray, n_w: int) -> np.ndarray:
+    """The full (n_h, n_w, ...) bins whose columns 0 .. n_w//2 are ``half`` and
+    whose other columns are the exact conjugates bins[-u, -v] = conj(bins[u, v])."""
+    n_h = half.shape[0]
+    full = np.empty((n_h, n_w, *half.shape[2:]), dtype=complex)
+    full[:, : half.shape[1]] = half
+    for v in range(half.shape[1], n_w):
+        full[:, v] = np.conj(half[(-np.arange(n_h)) % n_h, n_w - v])
+    return full
+
+
 class TestDft2:
-    """The forward/inverse pair on single-channel kernels."""
+    """The forward transforms, and the half-spectrum inverse, on single-channel kernels."""
 
     def test_delta_gives_flat_spectrum(self):
         out = forward(single(np.ones((1, 1))), FeatureShape(4, 4))
@@ -55,13 +68,13 @@ class TestDft2:
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_sign_convention_invariance(self):
-        # inverse = (1/n) times the opposite-sign transform, so n*|inverse|
+        # ifft2 = (1/n) times the opposite-sign transform, so n*|ifft2|
         # is the magnitude surface of the +-convention transform
         rng = np.random.default_rng(8)
         for shape in [(4, 4), (5, 7), (8, 3)]:
             grid = rng.standard_normal(shape)
             fwd = np.sort(np.abs(forward(single(grid), FeatureShape(*shape))), axis=None)
-            other = np.sort(np.abs(inverse(grid)) * grid.size, axis=None)
+            other = np.sort(np.abs(np.fft.ifft2(grid)) * grid.size, axis=None)
             assert np.abs(fwd - other).max() <= 1e-12 * max(1.0, fwd.max())
 
 
@@ -152,3 +165,18 @@ class TestHalfSpectrum:
         full = forward(random_kernel(13, 3, 3, 2, 3), FeatureShape(*shape))
         mirrored = np.roll(full[::-1, ::-1], 1, axis=(0, 1))  # bins[-u, -v]
         assert np.abs(mirrored - np.conj(full)).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (6, 3), (3, 2), (1, 1), (4, 1), (2, 6)])
+    def test_inverse_half_matches_ifft2_of_the_extension(self, shape):
+        # for any complex half, the real inverse is the real part of ifft2 of
+        # the Hermitian extension, and the dropped mass its largest imaginary part
+        n_h, n_w = shape
+        rng = np.random.default_rng(14)
+        half = rng.standard_normal((n_h, n_w // 2 + 1, 2, 3)) + 1j * rng.standard_normal(
+            (n_h, n_w // 2 + 1, 2, 3)
+        )
+        full = np.fft.ifft2(hermitian_extension(half, n_w), axes=(0, 1))
+        back, dropped = inverse_half(half, n_w)
+        assert np.abs(back - full.real).max() <= 1e-14
+        assert dropped == pytest.approx(np.abs(full.imag).max(), rel=1e-12, abs=1e-15)
+        assert dropped > 0.0

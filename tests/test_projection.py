@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conv_spectra import oracle
-from conv_spectra.errors import BadSupport, ValidationError
+from conv_spectra import fourier, oracle, projection
+from conv_spectra.errors import BadSupport, ImaginaryResidual, ValidationError
 from conv_spectra.projection import (
     clip_operator_norm,
     clip_reshaped,
@@ -12,6 +12,7 @@ from conv_spectra.projection import (
     restrict_support,
 )
 from conv_spectra.spectra import compute_spectrum, operator_norm
+from conv_spectra.svd import decompose
 from conv_spectra.types import FeatureShape, Kernel4D, zero_pad
 
 from conftest import identity_kernel, random_kernel
@@ -51,24 +52,79 @@ class TestClipOperatorNorm:
         assert np.abs(got - want).max() <= 1e-8 * max(1.0, want.max())
         assert report.norm_after_clip <= 1.0 + 1e-9
 
-    def test_matches_dense_clip_and_rebuild(self, shape44):
-        kernel = random_kernel(3)
+    @pytest.mark.parametrize(
+        "n_h, n_w, m_out, m_in",
+        [(4, 4, 2, 2), (5, 5, 2, 2), (4, 6, 2, 3), (5, 7, 3, 2), (3, 2, 2, 2), (4, 1, 2, 2)],
+        ids=["4x4-2to2", "5x5-2to2", "4x6-3to2", "5x7-2to3", "3x2-2to2", "4x1-2to2"],
+    )
+    def test_matches_dense_clip_and_rebuild(self, n_h, n_w, m_out, m_in):
+        shape = FeatureShape(n_h, n_w)
+        kernel = random_kernel(3, min(3, n_h), min(3, n_w), m_out, m_in)
         bound = 1.0
-        clipped, _ = clip_operator_norm(kernel, shape44, bound)
-        matrix = oracle.build_full_matrix(kernel, shape44)
+        clipped, report = clip_operator_norm(kernel, shape, bound)
+        assert report.bins_modified > 0
+        matrix = oracle.build_full_matrix(kernel, shape)
         u, d, vh = np.linalg.svd(matrix, full_matrices=False)
         rebuilt = (u * np.minimum(d, bound)) @ vh
         # the dense projection keeps the circulant block structure: every
         # channel block must equal the construction from its own first row
-        hw = 16
-        for c in range(2):
-            for d_ in range(2):
+        hw = n_h * n_w
+        for c in range(m_out):
+            for d_ in range(m_in):
                 block = rebuilt[c * hw : (c + 1) * hw, d_ * hw : (d_ + 1) * hw]
-                generator = block[0].reshape(4, 4)
+                generator = block[0].reshape(n_h, n_w)
                 assert np.abs(block - oracle.build_doubly_block_circulant(generator)).max() <= 1e-8
         # ... and agrees with the matrix of the clipped kernel
-        clipped_matrix = oracle.build_full_matrix(clipped, shape44)
+        clipped_matrix = oracle.build_full_matrix(clipped, shape)
         assert np.abs(rebuilt - clipped_matrix).max() <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (6, 3), (3, 2), (4, 1), (2, 5)])
+    def test_bins_modified_counts_the_full_spectrum(self, shape):
+        # one clip pass, against a full fft2 and a per-bin SVD done here; the
+        # bound sits halfway between two distinct bin norms so that no bin is
+        # within rounding of it
+        feature = FeatureShape(*shape)
+        kernel = random_kernel(19, min(3, shape[0]), min(3, shape[1]), 3, 2)
+        bins = np.fft.fft2(zero_pad(kernel, feature).data, axes=(0, 1))
+        tops = np.linalg.svd(bins, compute_uv=False)[..., 0]
+        distinct = np.unique(np.round(tops, 9))
+        bound = float(distinct[len(distinct) // 2 - 1 : len(distinct) // 2 + 1].mean())
+        _, report = clip_operator_norm(kernel, feature, bound)
+        assert 0 < report.bins_modified < tops.size
+        assert report.bins_modified == np.count_nonzero(tops > bound)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (1, 1)])
+    def test_decomposes_the_half_spectrum(self, monkeypatch, shape):
+        seen = []
+
+        def recording(stack, compute_uv=False):
+            seen.append(stack.shape)
+            return decompose(stack, compute_uv=compute_uv)
+
+        monkeypatch.setattr(projection, "decompose", recording)
+        n_h, n_w = shape
+        kernel = random_kernel(20, min(3, n_h), min(3, n_w), 3, 2)
+        clip_operator_norm(kernel, FeatureShape(n_h, n_w), 0.5)
+        assert [s[-2:] for s in seen] == [(3, 2)]
+        assert int(np.prod(seen[0][:-2])) == n_h * (n_w // 2 + 1)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (6, 3), (3, 6)])
+    def test_broken_conjugate_symmetry_raises(self, monkeypatch, shape):
+        # bins[-u, -v] = conj(bins[u, v]) ties row 1 of a self-conjugate column
+        # (0 for odd n_w, n_w/2 for even) to row n_h - 1 of the same column;
+        # perturbing row 1 alone breaks that, which the real inverse would
+        # otherwise drop without a trace
+        n_h, n_w = shape
+        column = 0 if n_w % 2 else n_w // 2
+
+        def perturbed(kernel, feature):
+            half = fourier.forward_half(kernel, feature)
+            half[1, column] += 1j
+            return half
+
+        monkeypatch.setattr(projection, "forward_half", perturbed)
+        with pytest.raises(ImaginaryResidual):
+            clip_operator_norm(random_kernel(21), FeatureShape(n_h, n_w), 0.5)
 
     def test_frobenius_optimality_sampling(self, shape44):
         bound = 1.0

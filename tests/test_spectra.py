@@ -130,7 +130,7 @@ class TestComputeSpectrum:
         spec = compute_spectrum(kernel, shape44)
         dense = oracle.full_matrix_spectrum(kernel, shape44)
         assert oracle.spectrum_deviation(spec.values, dense) <= 1e-8
-        bins = frequency_transforms(kernel, shape44).bin_stack()
+        bins = frequency_transforms(kernel, shape44).bins.reshape(16, 2, 2)
         lapack = np.sort(np.linalg.svd(bins, compute_uv=False), axis=None)[::-1]
         zero_rank = spec.values[16:]
         assert np.abs(zero_rank - lapack[16:]).max() <= 1e-15 * spec.values[0]
