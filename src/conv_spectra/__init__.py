@@ -10,9 +10,7 @@ from .projection import (
     restrict_support,
 )
 from .spectra import (
-    FrequencyTransforms,
     compute_spectrum,
-    frequency_transforms,
     operator_norm,
     single_channel_eigenvalues,
 )
@@ -30,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClipReport",
     "FeatureShape",
-    "FrequencyTransforms",
     "Kernel4D",
     "Spectrum",
     "SpectrumReport",
@@ -38,7 +35,6 @@ __all__ = [
     "clip_operator_norm",
     "clip_reshaped",
     "compute_spectrum",
-    "frequency_transforms",
     "operator_norm",
     "project_layer",
     "restrict_support",

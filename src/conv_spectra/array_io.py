@@ -1,8 +1,9 @@
 """Kernel tensors on disk (NPY) and spectrum reports as CSV.
 
-Only the plain little-endian float subset of NPY is supported: v1.0 is
-written, v1.0 and v2.0 headers are accepted on read, payloads must be
-C-ordered float32/float64. Anything else errors loudly instead of being
+``numpy.lib.format`` reads and writes the NPY framing; on top of it only the
+plain little-endian float subset is accepted: v1.0 is written, v1.0 and v2.0
+headers are accepted on read, payloads must be C-ordered float32/float64 of
+exactly the declared length. Anything else errors loudly instead of being
 silently transposed or cast. float32 is widened to float64 on load; writes are
 always float64, so write -> read round-trips bit-exactly.
 
@@ -11,23 +12,20 @@ CSV exports use 17 significant digits so every float64 survives the text trip.
 
 from __future__ import annotations
 
-import ast
+import math
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
-from .errors import (
-    BadHeader,
-    IoFailure,
-    UnsupportedDtype,
-    UnsupportedOrder,
-    WrongRank,
-)
+from .errors import BadHeader, IoFailure, UnsupportedDtype, UnsupportedOrder, WrongRank
 from .types import Kernel4D, SpectrumReport
 
-_MAGIC = b"\x93NUMPY"
-_HEADER_ALIGN = 64
-_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
+_READ_HEADER = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+_DTYPES = ("<f4", "<f8")
 
 EXPORT_MODES = ("values", "ratios", "normalized")
 
@@ -39,64 +37,36 @@ def read_kernel(path: str | Path) -> Kernel4D:
     files exported with a different channel order must be transposed before
     use, as nothing in the payload can distinguish the conventions.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 10 or raw[:6] != _MAGIC:
-        raise BadHeader(f"{path}: not an NPY file (bad magic)")
-    major, minor = raw[6], raw[7]
-    if (major, minor) == (1, 0):
-        header_len = int.from_bytes(raw[8:10], "little")
-        header_start = 10
-    elif (major, minor) == (2, 0):
-        if len(raw) < 12:
-            raise BadHeader(f"{path}: truncated v2.0 header")
-        header_len = int.from_bytes(raw[8:12], "little")
-        header_start = 12
-    else:
-        raise BadHeader(f"{path}: unsupported NPY version {major}.{minor}")
-    payload_start = header_start + header_len
-    if len(raw) < payload_start:
-        raise BadHeader(f"{path}: header shorter than its declared length")
-    try:
-        header = ast.literal_eval(raw[header_start:payload_start].decode("latin1").strip())
-    except (ValueError, SyntaxError) as exc:
-        raise BadHeader(f"{path}: unparseable header dict") from exc
-    if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
-        raise BadHeader(f"{path}: header must declare exactly descr/fortran_order/shape")
-    descr = header["descr"]
-    if descr not in _DTYPES:
-        raise UnsupportedDtype(f"{path}: dtype {descr!r} not supported (need '<f4' or '<f8')")
-    if header["fortran_order"] is not False:
+    with open(path, "rb") as fh:
+        # numpy raises ValueError for most malformed headers, but SyntaxError or
+        # TokenError for some broken header dicts and descrs
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _READ_HEADER:
+                raise BadHeader(f"{path}: unsupported NPY version {version[0]}.{version[1]}")
+            shape, fortran_order, dtype = _READ_HEADER[version](fh)
+        except (ValueError, SyntaxError, TokenError) as exc:
+            raise BadHeader(f"{path}: {exc}") from exc
+        payload = fh.read()
+    if dtype.str not in _DTYPES:
+        raise UnsupportedDtype(f"{path}: dtype {dtype.str!r} not supported (need '<f4' or '<f8')")
+    if fortran_order:
         raise UnsupportedOrder(f"{path}: Fortran-ordered payloads are not supported")
-    shape = header["shape"]
-    if not (isinstance(shape, tuple) and all(isinstance(d, int) and d >= 0 for d in shape)):
+    if any(type(d) is not int or d < 0 for d in shape):
         raise BadHeader(f"{path}: bad shape {shape!r}")
     if len(shape) != 4:
         raise WrongRank(f"{path}: expected a 4D kernel, file holds {len(shape)}D")
-    dtype = _DTYPES[descr]
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    if len(raw) - payload_start != expected:
-        raise BadHeader(
-            f"{path}: payload is {len(raw) - payload_start} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(raw, dtype=dtype, offset=payload_start).reshape(shape)
-    return Kernel4D(data.astype(np.float64))
+    expected = math.prod(shape) * dtype.itemsize
+    if len(payload) != expected:
+        raise BadHeader(f"{path}: payload is {len(payload)} bytes, header implies {expected}")
+    return Kernel4D(np.frombuffer(payload, dtype=dtype).reshape(shape).astype(np.float64))
 
 
 def write_kernel(kernel: Kernel4D, path: str | Path) -> None:
     """Write a kernel as NPY v1.0, float64, C-order (truncating any existing file)."""
-    shape = kernel.shape
-    header = "{'descr': '<f8', 'fortran_order': False, 'shape': %s, }" % (str(shape),)
-    prefix_len = len(_MAGIC) + 2 + 2
-    total = prefix_len + len(header) + 1
-    pad = (-total) % _HEADER_ALIGN
-    header_bytes = (header + " " * pad + "\n").encode("latin1")
     try:
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(bytes((1, 0)))
-            fh.write(len(header_bytes).to_bytes(2, "little"))
-            fh.write(header_bytes)
-            fh.write(kernel.data.tobytes(order="C"))
+            np.lib.format.write_array(fh, kernel.data, version=(1, 0))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -112,22 +82,18 @@ def write_spectrum_csv(report: SpectrumReport, path: str | Path, mode: str = "va
     if mode not in EXPORT_MODES:
         raise ValueError(f"mode must be one of {EXPORT_MODES}, got {mode!r}")
     if mode == "values":
-        header = "index,value"
-        rows = ((str(i), _fmt(v)) for i, v in enumerate(report.spectrum.values))
+        header = "index,value\n"
+        rows = (f"{i},{v:.17g}\n" for i, v in enumerate(report.spectrum.values.tolist()))
     elif mode == "ratios":
-        header = "index,ratio"
-        rows = ((str(i), _fmt(r)) for i, r in enumerate(report.ratios))
+        header = "index,ratio\n"
+        rows = (f"{i},{r:.17g}\n" for i, r in enumerate(report.ratios.tolist()))
     else:
-        header = "normalized_rank,ratio"
-        rows = ((_fmt(x), _fmt(r)) for x, r in zip(report.normalized_rank_axis, report.ratios))
+        header = "normalized_rank,ratio\n"
+        axis = report.normalized_rank_axis.tolist()
+        rows = (f"{x:.17g},{r:.17g}\n" for x, r in zip(axis, report.ratios.tolist()))
+    text = header + "".join(rows)
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for left, right in rows:
-                fh.write(f"{left},{right}\n")
+            fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")

@@ -121,18 +121,18 @@ def run_bench(
             )
         )
     if out_path is not None:
-        write_rows_csv(rows, out_path)
+        with open(out_path, "w", newline="\n") as fh:
+            fh.write(rows_csv(rows))
     return rows
 
 
-def write_rows_csv(rows: list[BenchRow], path: str | Path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("method,n,m,k,repeats,median_s,min_s,checksum\n")
-        for r in rows:
-            fh.write(
-                f"{r.method},{r.n},{r.m},{r.k},{r.repeats},"
-                f"{r.median_seconds:.9f},{r.min_seconds:.9f},{r.spectrum_checksum:.17g}\n"
-            )
+def rows_csv(rows: list[BenchRow]) -> str:
+    """The rows as CSV text: a header line, then one LF-terminated line per row."""
+    return "method,n,m,k,repeats,median_s,min_s,checksum\n" + "".join(
+        f"{r.method},{r.n},{r.m},{r.k},{r.repeats},"
+        f"{r.median_seconds:.9f},{r.min_seconds:.9f},{r.spectrum_checksum:.17g}\n"
+        for r in rows
+    )
 
 
 def parse_grid(text: str) -> list[tuple[int, int, int]]:

@@ -3,8 +3,8 @@
 Subcommands: ``spectrum``, ``clip``, ``clip-reshaped``, ``oracle-check``,
 ``generate``, ``bench``. Exit codes are a stable scripting contract:
 0 success, 1 I/O failure, 2 validation failure, 3 numerical-check failure
-(no SVD convergence, an imaginary residual after clipping, or an oracle
-deviation above the limit).
+(no SVD convergence, singular values that overflowed, an imaginary residual
+after clipping, or an oracle deviation above the limit).
 ``--json`` switches stdout to a single machine-readable object.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .array_io import EXPORT_MODES, read_kernel, write_kernel, write_spectrum_csv
-from .errors import ImaginaryResidual, IoFailure, NoConvergence, ValidationError
+from .errors import ImaginaryResidual, IoFailure, NoConvergence, NumericalOverflow, ValidationError
 from .oracle import ORACLE_SIZE_CAP, full_matrix_spectrum, spectrum_deviation
 from .projection import clip_reshaped, project_layer
 from .spectra import compute_spectrum, operator_norm
@@ -167,12 +167,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload))
     else:
-        print("method,n,m,k,repeats,median_s,min_s,checksum")
-        for r in rows:
-            print(
-                f"{r.method},{r.n},{r.m},{r.k},{r.repeats},"
-                f"{r.median_seconds:.9f},{r.min_seconds:.9f},{r.spectrum_checksum:.17g}"
-            )
+        print(bench_mod.rows_csv(rows), end="")
     return 0
 
 
@@ -199,12 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit one JSON object")
 
     p = sub.add_parser("spectrum", help="compute the layer's singular values")
+    p.set_defaults(run=cmd_spectrum)
     add_common(p)
     p.add_argument("--top", type=int, default=None, help="print only the N largest values")
     p.add_argument("--out", default=None, help="write the spectrum as CSV")
     p.add_argument("--mode", choices=EXPORT_MODES, default="values", help="CSV export mode")
 
     p = sub.add_parser("clip", help="project the layer onto an operator-norm ball")
+    p.set_defaults(run=cmd_clip)
     add_common(p)
     p.add_argument("--bound", type=float, required=True, help="operator-norm bound")
     p.add_argument(
@@ -213,15 +210,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output kernel path")
 
     p = sub.add_parser("clip-reshaped", help="clip the flattened-kernel-matrix singular values")
+    p.set_defaults(run=cmd_clip_reshaped)
     add_common(p)
     p.add_argument("--bound", type=float, required=True, help="bound on the reshaped matrix norm")
     p.add_argument("--out", required=True, help="output kernel path")
 
     p = sub.add_parser("oracle-check", help="compare against the dense full-matrix spectrum")
+    p.set_defaults(run=cmd_oracle_check)
     add_common(p)
     p.add_argument("--force", action="store_true", help="lift the dense size cap")
 
     p = sub.add_parser("generate", help="write a seeded standard-normal kernel")
+    p.set_defaults(run=cmd_generate)
     p.add_argument(
         "--shape",
         nargs=4,
@@ -235,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit one JSON object")
 
     p = sub.add_parser("bench", help="time the exact method against the full-matrix method")
+    p.set_defaults(run=cmd_bench)
     p.add_argument("--grid", required=True, help='grid like "n=16,m=4,8,16,k=3"')
     p.add_argument("--method", choices=("exact", "full", "both"), default="both")
     p.add_argument("--repeats", type=int, default=5)
@@ -249,21 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "spectrum":
-            return cmd_spectrum(args)
-        if args.subcommand == "clip":
-            return cmd_clip(args)
-        if args.subcommand == "clip-reshaped":
-            return cmd_clip_reshaped(args)
-        if args.subcommand == "oracle-check":
-            return cmd_oracle_check(args)
-        if args.subcommand == "generate":
-            return cmd_generate(args)
-        return cmd_bench(args)
+        return args.run(args)
     except (ValidationError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, ImaginaryResidual) as exc:
+    except (NoConvergence, NumericalOverflow, ImaginaryResidual) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (IoFailure, OSError) as exc:

@@ -2,8 +2,8 @@
 
 Grouping matters for the CLI exit-code contract: ValidationError and its
 subclasses map to exit 2, IoFailure and OS-level errors to exit 1, and
-numerical failures (NoConvergence, ImaginaryResidual, spectrum deviation) to
-exit 3.
+numerical failures (NoConvergence, NumericalOverflow, ImaginaryResidual,
+spectrum deviation) to exit 3.
 """
 
 
@@ -61,6 +61,10 @@ class IoFailure(ConvSpectraError):
 
 class NoConvergence(ConvSpectraError):
     """LAPACK's SVD did not converge."""
+
+
+class NumericalOverflow(ConvSpectraError):
+    """A finite input gave non-finite singular values: its transform overflowed."""
 
 
 class ImaginaryResidual(ConvSpectraError):

@@ -1,6 +1,6 @@
 """Per-channel-pair 2D transforms of a kernel, over numpy's FFT.
 
-The forward transforms zero-pad through the ``s`` argument, so the padded
+The forward transform zero-pads through the ``s`` argument, so the padded
 kernel is never built. Sign convention: the forward transform uses
 exp(-2*pi*i/n) and the inverse exp(+2*pi*i/n) with the 1/(n_h*n_w)
 normalization.
@@ -13,14 +13,10 @@ import numpy as np
 from .types import FeatureShape, Kernel4D
 
 
-def forward(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
-    """Complex (n_h, n_w, m_out, m_in) bins: ``[:, :, c, d]`` is the 2D
-    transform of channel pair (c, d) zero-padded to ``shape``."""
-    return np.fft.fft2(kernel.data, s=(shape.n_h, shape.n_w), axes=(0, 1))
-
-
 def forward_half(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
-    """The columns 0 .. n_w//2 of ``forward``, shape (n_h, n_w//2 + 1, m_out, m_in).
+    """Complex (n_h, n_w//2 + 1, m_out, m_in) bins: ``[:, :, c, d]`` holds the
+    columns 0 .. n_w//2 of the 2D transform of channel pair (c, d) zero-padded
+    to ``shape``.
 
     A real kernel has bins[-u, -v] = conj(bins[u, v]), so these columns
     determine all the others.

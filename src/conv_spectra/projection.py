@@ -67,7 +67,7 @@ def clip_operator_norm(
     twice. ``max_imaginary_residual`` is the imaginary part the real inverse
     drops from the self-conjugate columns (see ``fourier.inverse_half``),
     which exact arithmetic makes zero; above ``_IMAG_ERROR_REL`` times the
-    kernel's scale it raises ImaginaryResidual.
+    kernel's largest absolute entry it raises ImaginaryResidual.
     """
     validate_pair(kernel, shape)
     _check_bound(bound)
@@ -91,7 +91,9 @@ def clip_operator_norm(
     # code into a process that has not called it yet
     rebuilt = np.einsum("...ik,...k,...kj->...ij", u, clipped, vh)
     back, residual = inverse_half(rebuilt, shape.n_w)
-    scale = max(1.0, float(np.abs(kernel.data).max()))
+    # no floor: the check must scale down with small kernels, and max|K| > 0
+    # here because some value exceeded the positive bound
+    scale = float(np.abs(kernel.data).max())
     if residual > _IMAG_ERROR_REL * scale:
         raise ImaginaryResidual(
             f"imaginary residual {residual:.3e} exceeds {_IMAG_ERROR_REL:.0e} * {scale:.3e}"

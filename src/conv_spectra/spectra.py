@@ -17,38 +17,12 @@ own mirrors and are counted once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ChannelCountNotOne
-from .fourier import forward, forward_half
+from .fourier import forward_half
 from .svd import decompose
 from .types import FeatureShape, Kernel4D, Spectrum, validate_pair
-
-
-@dataclass(frozen=True)
-class FrequencyTransforms:
-    """Per-frequency channel-mixing matrices of a layer.
-
-    ``bins[u, v]`` is the complex m_out x m_in matrix collecting, across
-    channel pairs, the (u, v) entry of each channel pair's 2D transform.
-    """
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        self.bins.flags.writeable = False
-
-    @property
-    def feature_shape(self) -> FeatureShape:
-        return FeatureShape(self.bins.shape[0], self.bins.shape[1])
-
-
-def frequency_transforms(kernel: Kernel4D, shape: FeatureShape) -> FrequencyTransforms:
-    """2D-transform each channel pair of the kernel, zero-padded to the feature-map size."""
-    validate_pair(kernel, shape)
-    return FrequencyTransforms(forward(kernel, shape))
 
 
 def compute_spectrum(kernel: Kernel4D, shape: FeatureShape) -> Spectrum:
@@ -71,7 +45,9 @@ def single_channel_eigenvalues(kernel: Kernel4D, shape: FeatureShape) -> np.ndar
         raise ChannelCountNotOne(
             f"expected a 1x1-channel kernel, got m_out={kernel.m_out}, m_in={kernel.m_in}"
         )
-    return frequency_transforms(kernel, shape).bins[:, :, 0, 0].ravel()
+    # fft2's s= argument would silently crop a kernel larger than the map
+    validate_pair(kernel, shape)
+    return np.fft.fft2(kernel.data[:, :, 0, 0], s=(shape.n_h, shape.n_w)).ravel()
 
 
 def operator_norm(kernel: Kernel4D, shape: FeatureShape) -> float:

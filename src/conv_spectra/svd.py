@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NumericalOverflow
 
 
 def decompose(stack: np.ndarray, compute_uv: bool = False):
@@ -18,9 +18,15 @@ def decompose(stack: np.ndarray, compute_uv: bool = False):
     Returns the (..., r) singular values, r = min(rows, cols); with
     ``compute_uv`` the triple (u, s, vh) with u (..., rows, r) and
     vh (..., r, cols), so that a = u @ diag(s) @ vh. Raises NoConvergence
-    when LAPACK does not converge, which also covers NaN or Inf entries.
+    when LAPACK does not converge, which covers NaN entries, and
+    NumericalOverflow when it returns non-finite values, as it can for
+    entries that overflowed to Inf.
     """
     try:
-        return np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+        result = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    values = result[1] if compute_uv else result
+    if not np.isfinite(values).all():
+        raise NumericalOverflow("singular values are not finite: the input overflowed float64")
+    return result

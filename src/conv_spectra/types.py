@@ -97,6 +97,8 @@ class Spectrum:
         vals = _frozen(np.asarray(self.values).ravel())
         if vals.size == 0:
             raise ValueError("spectrum may not be empty")
+        if not np.isfinite(vals).all():
+            raise ValueError("spectrum values must be finite")
         if vals[-1] < 0.0 or np.any(np.diff(vals) > 0.0):
             raise ValueError("spectrum values must be non-negative and sorted descending")
         object.__setattr__(self, "values", vals)

@@ -19,6 +19,12 @@ def random_kernel(seed, k_h=3, k_w=3, m_out=2, m_in=2, scale=1.0) -> Kernel4D:
     return Kernel4D(scale * rng.standard_normal((k_h, k_w, m_out, m_in)))
 
 
+def overflowing_kernel() -> Kernel4D:
+    """Finite 3x3x2x2 entries near the float64 maximum: on a 4x4 map their
+    2D transform overflows to Inf, and LAPACK returns NaN singular values."""
+    return Kernel4D(np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3, 2, 2)) * 1e308)
+
+
 def identity_kernel(m: int) -> Kernel4D:
     """1x1-support kernel whose frequency transform is the identity at every bin."""
     return Kernel4D(np.eye(m).reshape(1, 1, m, m))

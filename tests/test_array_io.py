@@ -13,6 +13,16 @@ from conv_spectra.types import Spectrum, SpectrumReport
 from conftest import random_kernel
 
 
+def npy_v1(header: str, payload: bytes = b"", declared: int | None = None) -> bytes:
+    """An NPY v1.0 file from a raw header text; ``declared`` overrides its length field."""
+    body = header.encode("latin1")
+    length = len(body) if declared is None else declared
+    return b"\x93NUMPY\x01\x00" + length.to_bytes(2, "little") + body + payload
+
+
+F8_HEADER = "{'descr': '<f8', 'fortran_order': False, 'shape': (1, 1, 1, 1), }\n"
+
+
 class TestKernelRoundTrip:
     def test_float64_round_trip_is_bit_exact(self, tmp_path):
         kernel = random_kernel(0, 3, 3, 2, 2)
@@ -97,6 +107,53 @@ class TestReadErrors:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(BadHeader):
+            read_kernel(path)
+
+    @pytest.mark.parametrize(
+        "raw,error",
+        [
+            # the two negative sides multiply to a length the payload matches
+            (
+                npy_v1(
+                    "{'descr': '<f8', 'fortran_order': False, 'shape': (-1, -1, 1, 1), }",
+                    bytes(8),
+                ),
+                BadHeader,
+            ),
+            (
+                npy_v1(
+                    "{'descr': '<f8', 'fortran_order': False, 'shape': (1, 1, 1, 1), 'x': 0}",
+                    bytes(8),
+                ),
+                BadHeader,
+            ),
+            (npy_v1("{'descr': '<f8', 'shape': (1, 1, 1, 1), }", bytes(8)), BadHeader),
+            (npy_v1(F8_HEADER, declared=len(F8_HEADER) + 40), BadHeader),
+            (npy_v1(F8_HEADER.replace("<f8", "nonsense"), bytes(8)), BadHeader),
+            (npy_v1(F8_HEADER.replace("<f8", "<,f8"), bytes(8)), BadHeader),
+            (npy_v1(F8_HEADER.replace("False,", "False,("), bytes(8)), BadHeader),
+            (npy_v1(F8_HEADER.replace("(1, 1,", "(True, 1,"), bytes(8)), BadHeader),
+            # 2**32 * 2**32 wraps to 0 in int64, the length of an empty payload
+            (npy_v1(F8_HEADER.replace("(1, 1,", "(4294967296, 4294967296,")), BadHeader),
+            (npy_v1(F8_HEADER.replace("<f8", ">f8"), bytes(8)), UnsupportedDtype),
+        ],
+        ids=[
+            "negative-dim",
+            "extra-key",
+            "missing-key",
+            "short-header",
+            "bad-descr",
+            "descr-syntax",
+            "unbalanced-dict",
+            "bool-dim",
+            "wrapping-dims",
+            "big-endian",
+        ],
+    )
+    def test_rules_on_top_of_numpy(self, tmp_path, raw, error):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(raw)
+        with pytest.raises(error):
             read_kernel(path)
 
     def test_missing_file_is_os_error(self, tmp_path):

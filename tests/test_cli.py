@@ -11,13 +11,20 @@ from conv_spectra.errors import ImaginaryResidual
 from conv_spectra.spectra import compute_spectrum, operator_norm
 from conv_spectra.types import FeatureShape
 
-from conftest import identity_kernel, random_kernel
+from conftest import identity_kernel, overflowing_kernel, random_kernel
 
 
 @pytest.fixture
 def identity_path(tmp_path):
     path = tmp_path / "id.npy"
     write_kernel(identity_kernel(2), path)
+    return str(path)
+
+
+@pytest.fixture
+def overflow_path(tmp_path):
+    path = tmp_path / "huge.npy"
+    write_kernel(overflowing_kernel(), path)
     return str(path)
 
 
@@ -71,6 +78,14 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--kernel", random_path, "--input-shape", "4", "4"])
         assert code == 3
         assert "NoConvergence" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_exits_3(self, overflow_path, capsys):
+        code = main(["spectrum", "--kernel", overflow_path, "--input-shape", "4", "4"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "NumericalOverflow" in captured.err and "overflow" in captured.err
+        assert "operator_norm" not in captured.out
 
     def test_csv_export(self, identity_path, tmp_path, capsys):
         out_csv = tmp_path / "spec.csv"
@@ -145,6 +160,21 @@ class TestClipCommand:
         )
         assert code == 3
         assert capsys.readouterr().err.startswith("error: ImaginaryResidual:")
+        assert not out_npy.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_exits_3_and_writes_nothing(self, overflow_path, tmp_path, capsys):
+        out_npy = tmp_path / "never.npy"
+        code = main(
+            [
+                "clip", "--kernel", overflow_path, "--input-shape", "4", "4",
+                "--bound", "1", "--out", str(out_npy), "--json",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: NumericalOverflow:")
+        assert captured.out == ""
         assert not out_npy.exists()
 
     def test_multiple_rounds(self, random_path, tmp_path, capsys):

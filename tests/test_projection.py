@@ -23,6 +23,9 @@ def reshaped_matrix(kernel: Kernel4D) -> np.ndarray:
     return kernel.data.transpose(0, 1, 3, 2).reshape(k_h * k_w * m_in, m_out)
 
 
+BROKEN_SYMMETRY_SHAPES = [(4, 4), (5, 7), (6, 3), (3, 6)]
+
+
 class TestClipOperatorNorm:
     def test_inside_ball_is_identity(self, shape44):
         kernel = random_kernel(1, scale=0.05)
@@ -108,23 +111,29 @@ class TestClipOperatorNorm:
         assert [s[-2:] for s in seen] == [(3, 2)]
         assert int(np.prod(seen[0][:-2])) == n_h * (n_w // 2 + 1)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (6, 3), (3, 6)])
-    def test_broken_conjugate_symmetry_raises(self, monkeypatch, shape):
+    @pytest.mark.parametrize(
+        "shape,scale,kick",
+        [(shape, 1.0, 1j) for shape in BROKEN_SYMMETRY_SHAPES]
+        + [(shape, 1e-4, 1e-6j) for shape in BROKEN_SYMMETRY_SHAPES],
+        ids=[f"shape{i}" for i in range(4)] + [f"small-shape{i}" for i in range(4)],
+    )
+    def test_broken_conjugate_symmetry_raises(self, monkeypatch, shape, scale, kick):
         # bins[-u, -v] = conj(bins[u, v]) ties row 1 of a self-conjugate column
         # (0 for odd n_w, n_w/2 for even) to row n_h - 1 of the same column;
         # perturbing row 1 alone breaks that, which the real inverse would
-        # otherwise drop without a trace
+        # otherwise drop without a trace, at any kernel scale
         n_h, n_w = shape
         column = 0 if n_w % 2 else n_w // 2
 
         def perturbed(kernel, feature):
             half = fourier.forward_half(kernel, feature)
-            half[1, column] += 1j
+            half[1, column] += kick
             return half
 
         monkeypatch.setattr(projection, "forward_half", perturbed)
+        kernel = Kernel4D(scale * random_kernel(21).data)
         with pytest.raises(ImaginaryResidual):
-            clip_operator_norm(random_kernel(21), FeatureShape(n_h, n_w), 0.5)
+            clip_operator_norm(kernel, FeatureShape(n_h, n_w), 0.5 * scale)
 
     def test_frobenius_optimality_sampling(self, shape44):
         bound = 1.0

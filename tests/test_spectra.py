@@ -4,36 +4,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conv_spectra import oracle
-from conv_spectra.errors import ChannelCountNotOne
-from conv_spectra.spectra import (
-    compute_spectrum,
-    frequency_transforms,
-    operator_norm,
-    single_channel_eigenvalues,
-)
+from conv_spectra.errors import ChannelCountNotOne, NumericalOverflow
+from conv_spectra.fourier import forward_half
+from conv_spectra.spectra import compute_spectrum, operator_norm, single_channel_eigenvalues
+from conv_spectra.projection import project_layer
 from conv_spectra.types import FeatureShape, Kernel4D
 
-from conftest import assert_multiset_close, dft2_quartic, identity_kernel, random_kernel
+from conftest import (
+    assert_multiset_close,
+    dft2_quartic,
+    identity_kernel,
+    overflowing_kernel,
+    random_kernel,
+)
 
 
 class TestFrequencyTransforms:
+    """The half-spectrum bins that compute_spectrum decomposes."""
+
     def test_identity_kernel(self, shape44):
-        bins = frequency_transforms(identity_kernel(3), shape44).bins
-        assert np.allclose(bins, np.broadcast_to(np.eye(3), (4, 4, 3, 3)), atol=1e-14)
+        bins = forward_half(identity_kernel(3), shape44)
+        assert np.allclose(bins, np.broadcast_to(np.eye(3), (4, 3, 3, 3)), atol=1e-14)
 
     def test_zero_kernel(self, shape44):
-        bins = frequency_transforms(Kernel4D(np.zeros((3, 3, 2, 2))), shape44).bins
+        bins = forward_half(Kernel4D(np.zeros((3, 3, 2, 2))), shape44)
         assert np.count_nonzero(bins) == 0
 
     def test_matches_quartic_reference(self, shape44):
         kernel = random_kernel(21)
-        bins = frequency_transforms(kernel, shape44).bins
+        bins = forward_half(kernel, shape44)
         padded = np.zeros((4, 4))
         for c in range(2):
             for d in range(2):
                 padded[:] = 0.0
                 padded[:3, :3] = kernel.data[:, :, c, d]
-                assert np.abs(bins[:, :, c, d] - dft2_quartic(padded)).max() <= 1e-10
+                assert np.abs(bins[:, :, c, d] - dft2_quartic(padded)[:, :3]).max() <= 1e-10
 
 
 class TestComputeSpectrum:
@@ -122,6 +127,16 @@ class TestComputeSpectrum:
         dense = oracle.full_matrix_spectrum(kernel, feature)
         assert oracle.spectrum_deviation(spec.values, dense) <= 1e-8
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_transform_raises(self, shape44):
+        kernel = overflowing_kernel()
+        with pytest.raises(NumericalOverflow, match="overflow"):
+            compute_spectrum(kernel, shape44)
+        with pytest.raises(NumericalOverflow, match="overflow"):
+            operator_norm(kernel, shape44)
+        with pytest.raises(NumericalOverflow, match="overflow"):
+            project_layer(kernel, shape44, 1.0)
+
     def test_rank_deficient_values_are_unclamped(self, shape44):
         # two equal input channels: every bin matrix has rank one
         data = random_kernel(108, 3, 3, 2, 2).data.copy()
@@ -130,7 +145,7 @@ class TestComputeSpectrum:
         spec = compute_spectrum(kernel, shape44)
         dense = oracle.full_matrix_spectrum(kernel, shape44)
         assert oracle.spectrum_deviation(spec.values, dense) <= 1e-8
-        bins = frequency_transforms(kernel, shape44).bins.reshape(16, 2, 2)
+        bins = np.fft.fft2(kernel.data, s=(4, 4), axes=(0, 1)).reshape(16, 2, 2)
         lapack = np.sort(np.linalg.svd(bins, compute_uv=False), axis=None)[::-1]
         zero_rank = spec.values[16:]
         assert np.abs(zero_rank - lapack[16:]).max() <= 1e-15 * spec.values[0]

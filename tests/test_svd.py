@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conv_spectra.errors import NoConvergence
+from conv_spectra.errors import NoConvergence, NumericalOverflow
 from conv_spectra.svd import decompose
 
 from conftest import gram_eigs_charpoly
@@ -48,6 +48,12 @@ class TestSvdExamples:
     def test_rejects_non_finite(self):
         with pytest.raises(NoConvergence):
             decompose(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("compute_uv", [False, True])
+    def test_rejects_non_finite_values(self, compute_uv):
+        # LAPACK takes an Inf entry without raising and returns NaN values
+        with pytest.raises(NumericalOverflow, match="overflow"):
+            decompose(np.array([[np.inf, 0.0], [0.0, 1.0]]), compute_uv=compute_uv)
 
     def test_tiny_values_are_not_clamped(self):
         # values at rounding size are reported as computed, not forced to zero

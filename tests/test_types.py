@@ -107,6 +107,16 @@ class TestZeroPad:
         assert np.linalg.norm(once.data) == pytest.approx(np.linalg.norm(k.data), rel=1e-12)
 
 
+class TestPackage:
+    def test_star_import_resolves_all(self):
+        import conv_spectra
+
+        namespace: dict = {}
+        exec("from conv_spectra import *", namespace)
+        for name in conv_spectra.__all__:
+            assert namespace[name] is getattr(conv_spectra, name)
+
+
 class TestSpectrumTypes:
     def test_spectrum_requires_descending_nonnegative(self):
         with pytest.raises(ValueError):
@@ -115,6 +125,11 @@ class TestSpectrumTypes:
             Spectrum(np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
             Spectrum(np.array([]))
+
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]])
+    def test_spectrum_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.array(values))
 
     def test_report_fields(self):
         spec = Spectrum(np.array([4.0, 2.0, 1.0, 0.0]))
