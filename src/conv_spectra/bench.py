@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,28 +20,6 @@ from .spectra import compute_spectrum
 from .types import FeatureShape, Kernel4D
 
 METHODS = ("exact", "full_matrix")
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    """One timed configuration: method, feature-map size n, channels m, kernel size k."""
-
-    method: str
-    n: int
-    m: int
-    k: int
-    repeats: int = 5
-    warmup: int = 1
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.n < 1 or self.m < 1 or self.k < 1 or self.k > self.n:
-            raise ValueError(f"need 1 <= k <= n and m >= 1, got n={self.n} m={self.m} k={self.k}")
-        if self.repeats < 3:
-            raise ValueError(f"repeats must be >= 3, got {self.repeats}")
-        if self.warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {self.warmup}")
 
 
 @dataclass(frozen=True)
@@ -95,34 +72,32 @@ def time_method(
 
 
 def run_bench(
-    specs: list[BenchSpec],
+    points: list[tuple[int, int, int]],
+    methods: tuple[str, ...] = METHODS,
+    repeats: int = 5,
+    warmup: int = 1,
     seed: int = 0,
     force: bool = False,
-    out_path: str | Path | None = None,
 ) -> list[BenchRow]:
-    """Time every spec (kernels regenerated per grid point) and optionally write CSV."""
+    """Time every method at every (n, m, k) grid point, methods outermost.
+
+    Every argument is checked before anything is timed; each point's kernel
+    is regenerated from ``seed``.
+    """
+    if not set(methods) <= set(METHODS):
+        raise ValueError(f"methods must be among {METHODS}, got {methods!r}")
+    for n, m, k in points:
+        if not (1 <= k <= n and m >= 1):
+            raise ValueError(f"need 1 <= k <= n and m >= 1, got n={n} m={m} k={k}")
+    if repeats < 3:
+        raise ValueError(f"repeats must be >= 3, got {repeats}")
+    if warmup < 1:
+        raise ValueError(f"warmup must be >= 1, got {warmup}")
     rows = []
-    for spec in specs:
-        kernel = bench_kernel(spec.n, spec.m, spec.k, seed=seed)
-        shape = FeatureShape(spec.n, spec.n)
-        median, fastest, checksum = time_method(
-            spec.method, kernel, shape, spec.repeats, spec.warmup, force=force
-        )
-        rows.append(
-            BenchRow(
-                method=spec.method,
-                n=spec.n,
-                m=spec.m,
-                k=spec.k,
-                repeats=spec.repeats,
-                median_seconds=median,
-                min_seconds=fastest,
-                spectrum_checksum=checksum,
-            )
-        )
-    if out_path is not None:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(rows_csv(rows))
+    for method, (n, m, k) in itertools.product(methods, points):
+        kernel = bench_kernel(n, m, k, seed=seed)
+        timing = time_method(method, kernel, FeatureShape(n, n), repeats, warmup, force=force)
+        rows.append(BenchRow(method, n, m, k, repeats, *timing))
     return rows
 
 

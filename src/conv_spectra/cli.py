@@ -146,23 +146,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    points = bench_mod.parse_grid(args.grid)
-    methods = ("exact", "full_matrix") if args.method == "both" else (
-        "full_matrix" if args.method == "full" else "exact",
-    )
-    specs = [
-        bench_mod.BenchSpec(method=meth, n=n, m=m, k=k, repeats=args.repeats, warmup=args.warmup)
-        for meth in methods
-        for (n, m, k) in points
-    ]
+    methods = {"both": bench_mod.METHODS, "full": ("full_matrix",), "exact": ("exact",)}
     rows = bench_mod.run_bench(
-        specs,
+        bench_mod.parse_grid(args.grid),
+        methods[args.method],
+        repeats=args.repeats,
+        warmup=args.warmup,
         seed=args.seed,
         force=args.force,
-        out_path=args.out,
     )
     payload = {"rows": [dataclasses.asdict(r) for r in rows]}
     if args.out:
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(bench_mod.rows_csv(rows))
         payload["wrote"] = args.out
     if args.json:
         print(json.dumps(payload))

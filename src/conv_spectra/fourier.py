@@ -1,16 +1,19 @@
 """Per-channel-pair 2D transforms of a kernel, over numpy's FFT.
 
-The forward transform zero-pads through the ``s`` argument, so the padded
-kernel is never built. Sign convention: the forward transform uses
-exp(-2*pi*i/n) and the inverse exp(+2*pi*i/n) with the 1/(n_h*n_w)
-normalization.
+This is the only module that knows the half-spectrum: a real kernel has
+bins[-u, -v] = conj(bins[u, v]), so the n_h x (n_w//2 + 1) half determines
+the other bins, and ``multiplicity`` says how many full-spectrum bins each of
+its columns stands for. The forward transform zero-pads through the ``s``
+argument, so the padded kernel is never built. Sign convention: the forward
+transform uses exp(-2*pi*i/n) and the inverse exp(+2*pi*i/n) with the
+1/(n_h*n_w) normalization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .types import FeatureShape, Kernel4D
+from .types import FeatureShape, Kernel4D, validate_pair
 
 
 def forward_half(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
@@ -18,10 +21,22 @@ def forward_half(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
     columns 0 .. n_w//2 of the 2D transform of channel pair (c, d) zero-padded
     to ``shape``.
 
-    A real kernel has bins[-u, -v] = conj(bins[u, v]), so these columns
-    determine all the others.
+    Raises KernelLargerThanInput first, since ``s=`` would silently crop a
+    kernel larger than the map. An overflow to Inf is not warned about here:
+    ``svd.decompose`` raises NumericalOverflow on the bins it leaves.
     """
-    return np.fft.rfft2(kernel.data, s=(shape.n_h, shape.n_w), axes=(0, 1))
+    validate_pair(kernel, shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfft2(kernel.data, s=(shape.n_h, shape.n_w), axes=(0, 1))
+
+
+def multiplicity(shape: FeatureShape) -> np.ndarray:
+    """How many full-spectrum bins each half-spectrum column stands for: 2 for
+    columns 1 .. ceil(n_w/2) - 1, which also stand for their mirror images,
+    and 1 for the self-conjugate columns 0 and, for even n_w, n_w/2."""
+    counts = np.ones(shape.n_w // 2 + 1, dtype=np.intp)
+    counts[1 : (shape.n_w + 1) // 2] = 2
+    return counts
 
 
 def inverse_half(half: np.ndarray, n_w: int) -> tuple[np.ndarray, float]:

@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadSupport, ImaginaryResidual, ValidationError
-from .fourier import forward_half, inverse_half
+from .fourier import forward_half, inverse_half, multiplicity
 from .spectra import operator_norm
 from .svd import decompose
-from .types import FeatureShape, Kernel4D, validate_pair, zero_pad
+from .types import FeatureShape, Kernel4D, zero_pad
 
 # Residual imaginary mass beyond this (relative) threshold means the
 # reconstructed bins lost conjugate symmetry, which exact arithmetic forbids.
@@ -63,19 +63,17 @@ def clip_operator_norm(
     kernel has full (n_h, n_w) support and its spectrum is exactly
     min(original spectrum, bound) elementwise; when nothing exceeds the bound
     the zero-padded input is returned unchanged. ``bins_modified`` counts bins
-    of the full spectrum, each clipped bin in columns 1 .. ceil(n_w/2) - 1
-    twice. ``max_imaginary_residual`` is the imaginary part the real inverse
-    drops from the self-conjugate columns (see ``fourier.inverse_half``),
-    which exact arithmetic makes zero; above ``_IMAG_ERROR_REL`` times the
+    of the full spectrum, each clipped half-spectrum bin as many times as
+    ``fourier.multiplicity`` says. ``max_imaginary_residual`` is the
+    imaginary part the real inverse drops from the self-conjugate columns
+    (see ``fourier.inverse_half``), which exact arithmetic makes zero; above ``_IMAG_ERROR_REL`` times the
     kernel's largest absolute entry it raises ImaginaryResidual.
     """
-    validate_pair(kernel, shape)
     _check_bound(bound)
     u, values, vh = decompose(forward_half(kernel, shape), compute_uv=True)
     norm_before = float(values.max(initial=0.0))
     clipped_bins = (values > bound).any(axis=-1)
-    mirrored = clipped_bins[:, shape.mirrored_columns]
-    modified = int(np.count_nonzero(clipped_bins) + np.count_nonzero(mirrored))
+    modified = int(np.count_nonzero(np.repeat(clipped_bins, multiplicity(shape), axis=1)))
     if modified == 0:
         report = ClipReport(
             requested_bound=bound,

@@ -9,10 +9,9 @@ That brings the cost down from a dense SVD of an (n^2 m) sized matrix to
 m^2 FFTs plus n^2 small SVDs.
 
 A real kernel has bins[-u, -v] = conj(bins[u, v]), and conjugation keeps
-singular values, so only the n_h x (n_w//2 + 1) half-spectrum is decomposed:
-the values of its columns 1 .. ceil(n_w/2) - 1 stand for their mirror images
-too and are counted twice; column 0 and, for even n_w, column n_w/2 are their
-own mirrors and are counted once.
+singular values, so only the n_h x (n_w//2 + 1) half-spectrum is decomposed,
+and each column's values are pooled as many times as ``fourier.multiplicity``
+says that column stands for.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ChannelCountNotOne
-from .fourier import forward_half
+from .fourier import forward_half, multiplicity
 from .svd import decompose
 from .types import FeatureShape, Kernel4D, Spectrum, validate_pair
 
@@ -31,11 +30,9 @@ def compute_spectrum(kernel: Kernel4D, shape: FeatureShape) -> Spectrum:
     The result is the concatenation of the singular values of every
     frequency-bin matrix; its size is always n_h * n_w * min(m_out, m_in).
     """
-    validate_pair(kernel, shape)
     values = decompose(forward_half(kernel, shape))
-    mirrored = values[:, shape.mirrored_columns]
-    pooled = np.concatenate([values.ravel(), mirrored.ravel()])
-    return Spectrum(np.sort(pooled)[::-1])
+    pooled = np.repeat(values, multiplicity(shape), axis=1)
+    return Spectrum(np.sort(pooled, axis=None)[::-1])
 
 
 def single_channel_eigenvalues(kernel: Kernel4D, shape: FeatureShape) -> np.ndarray:
@@ -51,5 +48,6 @@ def single_channel_eigenvalues(kernel: Kernel4D, shape: FeatureShape) -> np.ndar
 
 
 def operator_norm(kernel: Kernel4D, shape: FeatureShape) -> float:
-    """Largest singular value of the layer (its Lipschitz constant)."""
-    return float(compute_spectrum(kernel, shape).values[0])
+    """Largest singular value of the layer (its Lipschitz constant): the top
+    value of the top bin, so it needs no multiplicity and no sort."""
+    return float(decompose(forward_half(kernel, shape))[..., 0].max())

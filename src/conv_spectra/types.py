@@ -23,9 +23,9 @@ from .errors import KernelLargerThanInput, NonFiniteEntry
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C", copy=True)
-    out.flags.writeable = False
-    return out
+    # a view of immutable bytes: numpy refuses to make it, or its base, writeable
+    data = np.asarray(arr, dtype=np.float64).tobytes(order="C")
+    return np.frombuffer(data, dtype=np.float64).reshape(np.shape(arr))
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,6 @@ class FeatureShape:
         if self.n_h < 1 or self.n_w < 1:
             raise ValueError(f"feature shape must be positive, got {(self.n_h, self.n_w)}")
 
-    @property
-    def mirrored_columns(self) -> slice:
-        """Columns 1 .. ceil(n_w/2) - 1 of a half-spectrum, which also stand
-        for their mirror images: a count over the full spectrum counts them twice."""
-        return slice(1, (self.n_w + 1) // 2)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -137,15 +131,14 @@ def validate_pair(kernel: Kernel4D, shape: FeatureShape) -> None:
     """Check that ``kernel`` can act circularly on a ``shape``-sized feature map.
 
     Raises KernelLargerThanInput when the support exceeds the map (the wrapped
-    indices would alias) and NonFiniteEntry for NaN/Inf coefficients.
+    indices would alias). A Kernel4D is finite by construction and its data
+    cannot be made writeable, so there is nothing else to check.
     """
     if kernel.k_h > shape.n_h or kernel.k_w > shape.n_w:
         raise KernelLargerThanInput(
             f"kernel support {kernel.k_h}x{kernel.k_w} exceeds feature map "
             f"{shape.n_h}x{shape.n_w}"
         )
-    if not np.isfinite(kernel.data).all():
-        raise NonFiniteEntry("kernel contains NaN or Inf entries")
 
 
 def zero_pad(kernel: Kernel4D, shape: FeatureShape) -> Kernel4D:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,21 @@ class TestBenchCommand:
 
     def test_bad_grid_is_validation_error(self, capsys):
         assert main(["bench", "--grid", "q=4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum"], ["clip", "--bound", "1", "--out", "never.npy"]],
+    ids=["spectrum", "clip"],
+)
+def test_overflow_error_is_the_first_stderr_line(overflow_path, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([argv[0], "--kernel", overflow_path, "--input-shape", "4", "4", *argv[1:]])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: NumericalOverflow")
+    assert not (tmp_path / "never.npy").exists()
 
 
 class TestConsoleEntryPoint:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conv_spectra import oracle
 from conv_spectra.errors import KernelLargerThanInput
-from conv_spectra.fourier import forward_half, inverse_half
+from conv_spectra.fourier import forward_half, inverse_half, multiplicity
 from conv_spectra.spectra import compute_spectrum, single_channel_eigenvalues
 from conv_spectra.types import FeatureShape, Kernel4D, zero_pad
 
@@ -190,3 +190,14 @@ class TestHalfSpectrum:
         assert np.abs(back - full.real).max() <= 1e-14
         assert dropped == pytest.approx(np.abs(full.imag).max(), rel=1e-12, abs=1e-15)
         assert dropped > 0.0
+
+
+class TestMultiplicity:
+    def test_counts_every_full_spectrum_column_once(self):
+        for n_w in range(1, 101):
+            counts = multiplicity(FeatureShape(3, n_w))
+            assert counts.shape == (n_w // 2 + 1,)
+            assert counts.sum() == n_w
+            self_conjugate = {0, n_w // 2} if n_w % 2 == 0 else {0}
+            assert set(np.flatnonzero(counts == 1)) == self_conjugate
+            assert set(np.unique(counts)) <= {1, 2}

@@ -18,6 +18,18 @@ from conftest import (
     random_kernel,
 )
 
+# (support, channels, feature shape) of the half-spectrum oracle checks: odd and
+# even widths, rectangular maps and channel counts, and n_w = 1
+ORACLE_GEOMETRIES = [
+    ((3, 3), (2, 2), (5, 5)),
+    ((3, 3), (2, 2), (6, 6)),
+    ((2, 3), (3, 2), (5, 6)),
+    ((3, 2), (2, 3), (6, 5)),
+    ((2, 2), (3, 1), (2, 7)),
+    ((1, 1), (2, 3), (1, 1)),
+    ((1, 1), (3, 2), (1, 4)),
+]
+
 
 class TestFrequencyTransforms:
     """The half-spectrum bins that compute_spectrum decomposes."""
@@ -108,24 +120,21 @@ class TestComputeSpectrum:
         mags = np.sort(np.abs(single_channel_eigenvalues(kernel, shape44)))[::-1]
         assert np.abs(spec.values - mags).max() <= 1e-12
 
-    @pytest.mark.parametrize(
-        "support,channels,shape",
-        [
-            ((3, 3), (2, 2), (5, 5)),
-            ((3, 3), (2, 2), (6, 6)),
-            ((2, 3), (3, 2), (5, 6)),
-            ((3, 2), (2, 3), (6, 5)),
-            ((2, 2), (3, 1), (2, 7)),
-            ((1, 1), (2, 3), (1, 1)),
-            ((1, 1), (3, 2), (1, 4)),
-        ],
-    )
+    @pytest.mark.parametrize("support,channels,shape", ORACLE_GEOMETRIES)
     def test_half_spectrum_matches_dense_oracle(self, support, channels, shape):
         kernel = random_kernel(107, *support, *channels)
         feature = FeatureShape(*shape)
         spec = compute_spectrum(kernel, feature)
         dense = oracle.full_matrix_spectrum(kernel, feature)
         assert oracle.spectrum_deviation(spec.values, dense) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "support,channels,shape", [*ORACLE_GEOMETRIES, ((2, 2), (2, 3), (3, 2))]
+    )
+    def test_operator_norm_is_the_top_of_the_spectrum(self, support, channels, shape):
+        kernel = random_kernel(108, *support, *channels)
+        feature = FeatureShape(*shape)
+        assert operator_norm(kernel, feature) == compute_spectrum(kernel, feature).values[0]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_transform_raises(self, shape44):

@@ -59,6 +59,17 @@ class TestKernel4D:
         with pytest.raises(ValueError):
             k.data[0, 0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "array",
+        [lambda: random_kernel(2).data, lambda: Spectrum(np.array([2.0, 1.0])).values],
+        ids=["kernel", "spectrum"],
+    )
+    def test_writeable_flag_cannot_be_set_back(self, array):
+        arr = array()
+        for view in (arr, arr.base):
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+
     def test_input_array_is_copied(self):
         src = np.zeros((2, 2, 1, 1))
         k = Kernel4D(src)
